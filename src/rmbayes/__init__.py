@@ -25,6 +25,7 @@ from .simulate import (
     FiveNumberSummary,
     GridReport,
     RepRecord,
+    RepSeries,
     SimulationConfig,
     TreatmentProfile,
     generate_dataset,
@@ -46,6 +47,7 @@ __all__ = [
     "Method",
     "ModelChoice",
     "RepRecord",
+    "RepSeries",
     "ReportedStat",
     "SimulationConfig",
     "SummaryStats",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError, DomainError
+from .errors import DegenerateResidualError, DomainError, as_int
 
 __all__ = ["AnovaTable", "DesignSpec", "f_cdf", "rm_anova"]
 
@@ -31,10 +31,13 @@ class DesignSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        n, k = as_int(self.n), as_int(self.k)
+        if n is None or n < 2:
             raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
-        if not isinstance(self.k, int) or self.k < 2:
+        if k is None or k < 2:
             raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     @property
     def n_total(self) -> int:
@@ -115,36 +118,18 @@ def rm_anova(data) -> AnovaTable:
     if not np.isfinite(values).all():
         raise DomainError("data matrix contains non-finite entries")
 
-    # numpy reductions sum pairwise, which keeps the partition identity
-    # SSA + SSB + SSR = SST tight even for large matrices
-    grand = float(values.mean())
-    col_dev = values.mean(axis=0) - grand
-    row_dev = values.mean(axis=1) - grand
-    ss_treatment = float(n * (col_dev @ col_dev))
-    ss_subjects = float(k * (row_dev @ row_dev))
-    centered = values - grand
-    ss_total = float((centered * centered).sum())
-    ss_residual = ss_total - ss_treatment - ss_subjects
-
+    ss_treatment, ss_subjects, ss_residual, ss_total, f_stat = (
+        float(column[0]) for column in _decompose(values[np.newaxis])
+    )
+    if math.isinf(f_stat):
+        raise DegenerateResidualError(
+            "residual sum of squares is zero but the treatment sum of squares "
+            f"is {ss_treatment:.6g}; the F ratio is unbounded for this matrix"
+        )
     df_treatment = k - 1
     df_subjects = n - 1
     df_residual = df_treatment * df_subjects
-
-    tol = _SS_REL_EPS * ss_total
-    if ss_residual <= tol:
-        if ss_treatment > tol:
-            raise DegenerateResidualError(
-                "residual sum of squares is zero but the treatment sum of squares "
-                f"is {ss_treatment:.6g}; the F ratio is unbounded for this matrix"
-            )
-        # no residual and no treatment signal (constant rows / identical
-        # columns): F = 0 is the only consistent completion
-        ss_residual = max(ss_residual, 0.0)
-        f_stat = 0.0
-        p_value = 1.0
-    else:
-        f_stat = (ss_treatment / ss_residual) * df_subjects
-        p_value = 1.0 - f_cdf(f_stat, df_treatment, df_residual)
+    p_value = 1.0 - f_cdf(f_stat, df_treatment, df_residual)
 
     return AnovaTable(
         ss_treatment=ss_treatment,
@@ -159,6 +144,43 @@ def rm_anova(data) -> AnovaTable:
         f_stat=f_stat,
         p_value=p_value,
     )
+
+
+def _decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sums of squares and F for every matrix of an (m, n, k) stack.
+
+    Returns the arrays (SSA, SSB, SSR, SST, F), each of length m, with
+    F = (SSA/SSR)*(n-1).  Where the residual vanishes (SSR at most
+    ``_SS_REL_EPS * SST``) F is +inf if the treatment sum of squares does
+    not vanish too, else 0 -- the only consistent completion for constant
+    rows or identical columns -- and SSR is clamped at 0.  Entries must be
+    finite; no p-value is computed.
+    """
+    _, n, k = stack.shape
+    # numpy reductions sum pairwise, which keeps the partition identity
+    # SSA + SSB + SSR = SST tight even for large matrices
+    grand = stack.mean(axis=(1, 2))
+    col_dev = stack.mean(axis=1) - grand[:, np.newaxis]
+    row_dev = stack.mean(axis=2) - grand[:, np.newaxis]
+    ss_treatment = n * _row_dots(col_dev)
+    ss_subjects = k * _row_dots(row_dev)
+    centered = stack - grand[:, np.newaxis, np.newaxis]
+    ss_total = np.square(centered, out=centered).sum(axis=(1, 2))
+    ss_residual = ss_total - ss_treatment - ss_subjects
+
+    tol = _SS_REL_EPS * ss_total
+    flat = ss_residual <= tol
+    f_stat = np.divide(ss_treatment, ss_residual, out=np.zeros_like(ss_total), where=~flat)
+    f_stat *= n - 1
+    f_stat[flat & (ss_treatment > tol)] = np.inf
+    np.maximum(ss_residual, 0.0, out=ss_residual)
+    return ss_treatment, ss_subjects, ss_residual, ss_total, f_stat
+
+
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """``row @ row`` for every row of a 2-d array, by a stacked matmul: the
+    same dot kernel as one ``@``, and available before numpy 2's vecdot."""
+    return (rows[:, np.newaxis, :] @ rows[:, :, np.newaxis])[:, 0, 0]
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:

@@ -2,6 +2,7 @@
 
 Recognizes the usual reporting shape ``F(df1, df2) = value`` (also ``<`` for
 bounds), optionally followed by a p clause, e.g. ``F(1, 22) = 1.336, p = .26``.
+Numbers may carry a decimal exponent, as in ``F(1, 22) = 1.3e2, p < 1e-3``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import DesignInferenceError
 
 __all__ = ["ReportedStat", "infer_rm_design", "parse_reports"]
 
-_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _F_REPORT = re.compile(
     rf"[Ff]\s*\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
     rf"(?:\s*,\s*[pP]\s*([=<])\s*({_NUMBER}))?"

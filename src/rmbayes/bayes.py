@@ -14,18 +14,20 @@ information prior (Wagenmakers, 2007):
 
 Everything is computed in natural-log space; the linear Bayes factor is
 derived afterwards and saturates to the largest finite float (with a flag)
-instead of overflowing.
+instead of overflowing.  The closed forms behind the public functions take a
+numeric namespace (``math`` by default), so the simulation evaluates the
+same formulas as numpy ufuncs over whole arrays of replications.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .anova import DesignSpec
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 __all__ = [
     "EvidenceResult",
@@ -136,26 +138,43 @@ def _saturating_exp(x: float) -> tuple[float, bool]:
     return math.exp(x), False
 
 
-def _posterior_from_log_odds(log_odds: float) -> float:
-    # logistic transform, stable on both tails
-    if log_odds >= 0:
-        return 1.0 / (1.0 + math.exp(-log_odds))
-    e = math.exp(log_odds)
-    return e / (1.0 + e)
+def _posterior_h0(log_bf01, prior_h0: float = 0.5, xp=math):
+    """p(H0|y) by the logistic transform of the posterior log odds."""
+    log_odds = log_bf01 + math.log(prior_h0) - math.log1p(-prior_h0)
+    # stable on both tails: exp only sees nonpositive arguments, and
+    # (x - |x|) / 2 is exactly min(x, 0) for floats and arrays alike
+    return xp.exp((log_odds - abs(log_odds)) / 2) / (1.0 + xp.exp(-abs(log_odds)))
 
 
-def _result(method: Method, log_bf01: float, delta_bic10: float, prior_h0: float) -> EvidenceResult:
+def _log_bf01_between(f_stat, df1: int, df2: int, n_obs: int, xp=math):
+    return 0.5 * (df1 * math.log(n_obs) - n_obs * xp.log1p(f_stat * df1 / df2))
+
+
+def _log_bf01_minimal_rm(f_stat, n: int, k: int, xp=math):
+    # the independent-groups form with df1 = k - 1, df2 = (n-1)(k-1) and
+    # N = n(k-1), so the reduction identity holds to the bit
+    return _log_bf01_between(f_stat, k - 1, (n - 1) * (k - 1), n * (k - 1), xp)
+
+
+def _log_bf01_nathoo(n: int, k: int, ssa, ssb, sst, xp=math):
+    delta_bic10 = (
+        n * (k - 1) * xp.log((sst - ssa - ssb) / (sst - ssb))
+        + (k + 2) * xp.log(n * (sst - ssa) / ssb)
+        - 3.0 * xp.log(n * sst / ssb)
+    )
+    return 0.5 * delta_bic10
+
+
+def _result(method: Method, log_bf01: float, prior_h0: float) -> EvidenceResult:
     bf01, hi = _saturating_exp(log_bf01)
     bf10, lo = _saturating_exp(-log_bf01)
-    posterior_h0 = _posterior_from_log_odds(
-        log_bf01 + math.log(prior_h0) - math.log1p(-prior_h0)
-    )
+    posterior_h0 = _posterior_h0(log_bf01, prior_h0)
     return EvidenceResult(
         method=method,
         log_bf01=log_bf01,
         bf01=bf01,
         bf10=bf10,
-        delta_bic10=delta_bic10,
+        delta_bic10=2.0 * log_bf01,
         posterior_h0=posterior_h0,
         posterior_h1=1.0 - posterior_h0,
         prior_h0=prior_h0,
@@ -172,12 +191,13 @@ def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
     """
     _check_f(f_stat)
     _check_prior(prior_h0)
-    if not (isinstance(df1, int) and df1 >= 1 and isinstance(df2, int) and df2 >= 1):
+    dfs = as_int(df1), as_int(df2)
+    if None in dfs or min(dfs) < 1:
         raise DomainError(f"degrees of freedom must be integers >= 1, got ({df1!r}, {df2!r})")
-    if not (isinstance(n_obs, int) and n_obs >= 2):
+    n = as_int(n_obs)
+    if n is None or n < 2:
         raise DomainError(f"need at least 2 observations, got n_obs={n_obs!r}")
-    log_bf01 = 0.5 * (df1 * math.log(n_obs) - n_obs * math.log1p(f_stat * df1 / df2))
-    return _result(Method.BETWEEN_SUBJECTS, log_bf01, 2.0 * log_bf01, prior_h0)
+    return _result(Method.BETWEEN_SUBJECTS, _log_bf01_between(f_stat, *dfs, n), prior_h0)
 
 
 def bf01_minimal_rm(f_stat: float, design: DesignSpec,
@@ -191,14 +211,10 @@ def bf01_minimal_rm(f_stat: float, design: DesignSpec,
     """
     if not isinstance(design, DesignSpec):
         raise DomainError(f"design must be a DesignSpec, got {type(design).__name__}")
-    base = bf01_between(
-        f_stat,
-        design.k - 1,
-        (design.n - 1) * (design.k - 1),
-        design.n_independent,
-        prior_h0=prior_h0,
-    )
-    return replace(base, method=Method.MINIMAL_RM)
+    _check_f(f_stat)
+    _check_prior(prior_h0)
+    log_bf01 = _log_bf01_minimal_rm(f_stat, design.n, design.k)
+    return _result(Method.MINIMAL_RM, log_bf01, prior_h0)
 
 
 def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResult:
@@ -212,14 +228,9 @@ def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResu
     if not isinstance(stats, SummaryStats):
         raise DomainError(f"stats must be a SummaryStats, got {type(stats).__name__}")
     _check_prior(prior_h0)
-    n, k = stats.design.n, stats.design.k
-    ssa, ssb, sst = stats.ss_treatment, stats.ss_subjects, stats.ss_total
-    delta_bic10 = (
-        n * (k - 1) * math.log((sst - ssa - ssb) / (sst - ssb))
-        + (k + 2) * math.log(n * (sst - ssa) / ssb)
-        - 3.0 * math.log(n * sst / ssb)
-    )
-    return _result(Method.NATHOO_MASSON, 0.5 * delta_bic10, delta_bic10, prior_h0)
+    log_bf01 = _log_bf01_nathoo(stats.design.n, stats.design.k, stats.ss_treatment,
+                                stats.ss_subjects, stats.ss_total)
+    return _result(Method.NATHOO_MASSON, log_bf01, prior_h0)
 
 
 def posterior_probs(bf01: float, prior_h0: float = 0.5) -> tuple[float, float]:
@@ -254,4 +265,9 @@ def choose_model(result: EvidenceResult) -> ModelChoice:
 
     The tie at BF01 = 1 goes to H0 so repeated runs classify deterministically.
     """
-    return ModelChoice.H0 if result.log_bf01 >= 0 else ModelChoice.H1
+    return ModelChoice.H0 if _chooses_h0(result.log_bf01) else ModelChoice.H1
+
+
+def _chooses_h0(log_bf01):
+    """The rule of :func:`choose_model` on a log BF01 or an array of them."""
+    return log_bf01 >= 0

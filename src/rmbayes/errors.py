@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+from __future__ import annotations
+
+import operator
+from typing import Optional
 
 
 class DomainError(ValueError):
@@ -13,3 +18,14 @@ class DegenerateResidualError(DomainError):
 class DesignInferenceError(DomainError):
     """Reported degrees of freedom are not consistent with a one-factor
     repeated-measures design, so (n, k) cannot be recovered from them."""
+
+
+def as_int(value) -> Optional[int]:
+    """``value`` as a Python int when it is an integer, numpy integers
+    included; None for anything else, ``bool`` too."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None

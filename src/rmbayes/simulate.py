@@ -15,9 +15,18 @@ Every replication owns two RNG substreams derived by splitmix64 hash-mixing
 of the master seed, the cell parameters and the replication index: one for
 the placement of the condition means, one for the subject/noise draws.
 Results are therefore bit-identical whether cells run sequentially or on any
-number of worker processes.  Normal deviates come from numpy's PCG64
-``Generator.normal`` (ziggurat method); subject effects are drawn before the
-noise matrix.
+number of worker processes.  Each substream is a numpy PCG64 ``Generator``;
+normal deviates come from its ziggurat method, subject effects before the
+noise matrix, and are scaled afterwards, which gives the same values as
+``Generator.normal`` with that scale.
+
+:func:`run_cell` works in batched passes over blocks of replications.  The
+substreams, the datasets and the model choices (hence accuracies and
+consistencies) are those of the one-replication-at-a-time chain
+:func:`generate_dataset` -> :func:`~rmbayes.anova.rm_anova` -> the scalar
+Bayes factor routes.  F, the Bayes factors and the posteriors may differ
+from that chain by a few ulp, because batched reductions and ufuncs may
+round differently; the block size never changes a result.
 
 Condition-mean spacing
 ----------------------
@@ -34,26 +43,28 @@ import functools
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .anova import DesignSpec, rm_anova
+from .anova import _decompose
 from .bayes import (
     ModelChoice,
-    SummaryStats,
-    bf01_minimal_rm,
-    choose_model,
-    delta_bic_nathoo,
+    _chooses_h0,
+    _log_bf01_minimal_rm,
+    _log_bf01_nathoo,
+    _posterior_h0,
+    _saturating_exp,
 )
-from .errors import DomainError
+from .errors import DegenerateResidualError, DomainError, as_int
 
 __all__ = [
     "CellResult",
     "FiveNumberSummary",
     "GridReport",
     "RepRecord",
+    "RepSeries",
     "SimulationConfig",
     "TreatmentProfile",
     "generate_dataset",
@@ -65,6 +76,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # tags the effect-placement substream apart from the subject/noise substream
 _PROFILE_STREAM_TAG = 0x70726F66696C6531
+# Data values per batched pass of run_cell (at least one dataset): bounds its
+# working arrays at a few hundred kB whatever the number of replications.
+_BLOCK_VALUES = 1 << 16
 
 _SPACINGS = ("uniform", "equal")
 
@@ -83,9 +97,10 @@ class SimulationConfig:
     spacing: str = "uniform"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        n, k, reps, seed = (as_int(v) for v in (self.n, self.k, self.reps, self.master_seed))
+        if n is None or n < 2:
             raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
-        if not isinstance(self.k, int) or self.k < 2:
+        if k is None or k < 2:
             raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
         if math.isnan(self.rho) or not (0.0 <= self.rho < 1.0):
             raise DomainError(
@@ -93,14 +108,16 @@ class SimulationConfig:
             )
         if math.isnan(self.delta) or math.isinf(self.delta) or self.delta < 0:
             raise DomainError(f"effect size must be a finite nonnegative real, got {self.delta!r}")
-        if not isinstance(self.reps, int) or self.reps < 1:
+        if reps is None or reps < 1:
             raise DomainError(f"need at least 1 replication, got reps={self.reps!r}")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _MASK64:
+        if seed is None or not 0 <= seed <= _MASK64:
             raise DomainError("master_seed must be an unsigned 64-bit integer")
         if not math.isfinite(self.grand_mean):
             raise DomainError(f"grand_mean must be finite, got {self.grand_mean!r}")
         if self.spacing not in _SPACINGS:
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
+        for name, value in (("n", n), ("k", k), ("reps", reps), ("master_seed", seed)):
+            object.__setattr__(self, name, value)
 
     @property
     def cell_id(self) -> str:
@@ -164,6 +181,37 @@ class RepRecord:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class RepSeries:
+    """Per-replication outcomes of one cell: one array per quantity, indexed
+    by replication.  A model choice is H0 where its log BF01 is >= 0."""
+
+    f_stat: np.ndarray
+    log_bf01_min: np.ndarray
+    log_bf01_nm: np.ndarray
+    posterior_min: np.ndarray
+    posterior_nm: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RepSeries):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def records(self) -> tuple[RepRecord, ...]:
+        """One record per replication."""
+        choice = {True: ModelChoice.H0, False: ModelChoice.H1}
+        columns = zip(self.f_stat.tolist(), self.log_bf01_min.tolist(),
+                      self.log_bf01_nm.tolist(), self.posterior_min.tolist(),
+                      self.posterior_nm.tolist())
+        return tuple(
+            RepRecord(rep, f_stat, _saturating_exp(log_min)[0], _saturating_exp(log_nm)[0],
+                      posterior_min, posterior_nm,
+                      choice[_chooses_h0(log_min)], choice[_chooses_h0(log_nm)])
+            for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(columns)
+        )
+
+
 @dataclass(frozen=True)
 class CellResult:
     """Aggregates over the replications of one cell.
@@ -181,11 +229,16 @@ class CellResult:
     posterior_correlation: Optional[float]
     posterior_quantiles_min: FiveNumberSummary
     posterior_quantiles_nm: FiveNumberSummary
-    per_rep_records: Optional[tuple[RepRecord, ...]] = None
+    series: Optional[RepSeries] = None
 
     @property
     def cell_id(self) -> str:
         return self.config.cell_id
+
+    @property
+    def per_rep_records(self) -> Optional[tuple[RepRecord, ...]]:
+        """The per-replication outcomes as records, when the cell kept them."""
+        return None if self.series is None else self.series.records()
 
     def to_dict(self, include_records: bool = False) -> dict:
         payload = {
@@ -202,8 +255,8 @@ class CellResult:
             "posterior_quantiles_min": self.posterior_quantiles_min.to_dict(),
             "posterior_quantiles_nm": self.posterior_quantiles_nm.to_dict(),
         }
-        if include_records and self.per_rep_records is not None:
-            payload["per_rep_records"] = [r.to_dict() for r in self.per_rep_records]
+        if include_records and self.series is not None:
+            payload["per_rep_records"] = [r.to_dict() for r in self.series.records()]
         return payload
 
 
@@ -236,7 +289,9 @@ class GridReport:
         }
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """splitmix64 output function of a Python int, or of every entry of a
+    uint64 array (whose arithmetic wraps modulo 2**64 by itself)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -250,8 +305,15 @@ def _float_bits(x: float) -> int:
 def _rep_seed(config: SimulationConfig, rep_index: int) -> int:
     """Substream seed for one replication: a splitmix64 fold of the master
     seed, the cell parameters and the replication index."""
-    if not isinstance(rep_index, int) or rep_index < 0:
+    index = as_int(rep_index)
+    if index is None or index < 0:
         raise DomainError(f"rep_index must be a nonnegative integer, got {rep_index!r}")
+    return _splitmix64(_cell_seed(config) ^ (index & _MASK64))
+
+
+def _cell_seed(config: SimulationConfig) -> int:
+    """The master seed folded with the cell parameters; the replication
+    index is the last token of the fold."""
     seed = config.master_seed & _MASK64
     tokens = (
         config.n,
@@ -259,11 +321,15 @@ def _rep_seed(config: SimulationConfig, rep_index: int) -> int:
         _float_bits(config.rho),
         _float_bits(config.delta),
         _float_bits(config.grand_mean),
-        rep_index,
     )
     for token in tokens:
         seed = _splitmix64(seed ^ (token & _MASK64))
     return seed
+
+
+def _rep_seeds(config: SimulationConfig, first: int, stop: int) -> np.ndarray:
+    """``_rep_seed`` of replications first..stop-1, as a uint64 array."""
+    return _splitmix64(np.arange(first, stop, dtype=np.uint64) ^ _cell_seed(config))
 
 
 def make_profile(config: SimulationConfig) -> TreatmentProfile:
@@ -279,7 +345,7 @@ def make_profile(config: SimulationConfig) -> TreatmentProfile:
 
 def _rep_profile(config: SimulationConfig, rep_index: int) -> TreatmentProfile:
     """Profile used for one replication under the configured spacing."""
-    if config.spacing == "equal" or config.k == 2 or config.delta == 0.0:
+    if not _redraws_profile(config):
         return make_profile(config)
     rng = np.random.default_rng(_splitmix64(_rep_seed(config, rep_index) ^ _PROFILE_STREAM_TAG))
     interior = np.sort(rng.uniform(size=config.k - 2))
@@ -287,6 +353,27 @@ def _rep_profile(config: SimulationConfig, rep_index: int) -> TreatmentProfile:
     means = config.delta * relative
     alphas = means - means.mean()
     return TreatmentProfile(alphas=tuple(float(a) for a in alphas))
+
+
+def _redraws_profile(config: SimulationConfig) -> bool:
+    return config.spacing == "uniform" and config.k > 2 and config.delta != 0.0
+
+
+def _profiles(config: SimulationConfig, seeds: np.ndarray) -> np.ndarray:
+    """Treatment effects of the replications with these substream seeds:
+    one row each, equal to ``_rep_profile``, or one shared (k,) profile when
+    the spacing does not redraw it."""
+    if not _redraws_profile(config):
+        return np.asarray(make_profile(config).alphas)
+    relative = np.empty((len(seeds), config.k))
+    relative[:, 0] = 0.0
+    relative[:, -1] = 1.0
+    interior = relative[:, 1:-1]
+    for row, seed in zip(interior, _splitmix64(seeds ^ _PROFILE_STREAM_TAG).tolist()):
+        np.random.default_rng(seed).random(out=row)
+    interior.sort(axis=1)
+    means = config.delta * relative
+    return means - means.mean(axis=1, keepdims=True)
 
 
 def generate_dataset(config: SimulationConfig, profile: TreatmentProfile,
@@ -322,53 +409,56 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
 def run_cell(config: SimulationConfig, keep_records: bool = False) -> CellResult:
     """Run every replication of one cell and aggregate both methods.
 
-    Each replication generates a dataset, runs the repeated-measures ANOVA,
+    Each replication generates a dataset, decomposes its sums of squares,
     and evaluates both Bayes factor routes (minimal from F, Nathoo-Masson
-    from the sums of squares).  A degenerate ANOVA aborts the cell with the
-    cell id and replication index attached (probability zero for continuous
-    data).
+    from the sums of squares).  Replications run in blocks of at most
+    ``_BLOCK_VALUES`` data values, each block as one batched pass.  A
+    degenerate decomposition aborts the cell with the cell id and
+    replication index attached (probability zero for continuous data).
     """
-    design = DesignSpec(n=config.n, k=config.k)
+    n, k, reps = config.n, config.k, config.reps
+    block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
+    subject = np.empty((block, n))
+    noise = np.empty((block, n, k))
+    data = np.empty((block, n, k))
+    f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
+
+    for first in range(0, reps, block):
+        stop = min(first + block, reps)
+        size = stop - first
+        seeds = _rep_seeds(config, first, stop)
+        for rep_subject, rep_noise, seed in zip(subject, noise, seeds.tolist()):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=rep_subject)
+            rng.standard_normal(out=rep_noise)
+        sub, noi, dat = subject[:size], noise[:size], data[:size]
+        sub *= math.sqrt(config.rho)
+        noi *= math.sqrt(1.0 - config.rho)
+        base = config.grand_mean + _profiles(config, seeds)
+        # ((grand_mean + alphas) + subject) + noise: generate_dataset's order,
+        # so the datasets match it to the bit
+        np.add(base[..., np.newaxis, :], sub[:, :, np.newaxis], out=dat)
+        dat += noi
+
+        ssa, ssb, ssr, sst, f = _decompose(dat)
+        valid = np.isfinite(f) & (ssr > 0.0) & (ssb > 0.0)
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            error = DegenerateResidualError if np.isinf(f[bad]) else DomainError
+            raise error(
+                f"cell {config.cell_id}, replication {first + bad}: degenerate sums of "
+                f"squares SSA={ssa[bad]:.6g}, SSB={ssb[bad]:.6g}, SST={sst[bad]:.6g} "
+                "(no residual or no subject variability, or an overflow)"
+            )
+        f_stat[first:stop] = f
+        log_bf01_min[first:stop] = _log_bf01_minimal_rm(f, n, k, np)
+        log_bf01_nm[first:stop] = _log_bf01_nathoo(n, k, ssa, ssb, sst, np)
+
+    posterior_min = _posterior_h0(log_bf01_min, xp=np)
+    posterior_nm = _posterior_h0(log_bf01_nm, xp=np)
+    h0_min = _chooses_h0(log_bf01_min)
+    h0_nm = _chooses_h0(log_bf01_nm)
     true_h0 = config.delta == 0.0
-    posterior_min = np.empty(config.reps)
-    posterior_nm = np.empty(config.reps)
-    h0_min = np.empty(config.reps, dtype=bool)
-    h0_nm = np.empty(config.reps, dtype=bool)
-    records: list[RepRecord] = []
-
-    for rep in range(config.reps):
-        profile = _rep_profile(config, rep)
-        data = generate_dataset(config, profile, rep)
-        try:
-            table = rm_anova(data)
-            ev_min = bf01_minimal_rm(table.f_stat, design)
-            ev_nm = delta_bic_nathoo(SummaryStats(
-                ss_treatment=table.ss_treatment,
-                ss_subjects=table.ss_subjects,
-                ss_total=table.ss_total,
-                design=design,
-            ))
-        except DomainError as exc:
-            raise type(exc)(f"cell {config.cell_id}, replication {rep}: {exc}") from exc
-
-        choice_min = choose_model(ev_min)
-        choice_nm = choose_model(ev_nm)
-        posterior_min[rep] = ev_min.posterior_h0
-        posterior_nm[rep] = ev_nm.posterior_h0
-        h0_min[rep] = choice_min is ModelChoice.H0
-        h0_nm[rep] = choice_nm is ModelChoice.H0
-        if keep_records:
-            records.append(RepRecord(
-                rep=rep,
-                f_stat=table.f_stat,
-                bf01_min=ev_min.bf01,
-                bf01_nm=ev_nm.bf01,
-                posterior_min=ev_min.posterior_h0,
-                posterior_nm=ev_nm.posterior_h0,
-                choice_min=choice_min,
-                choice_nm=choice_nm,
-            ))
-
     return CellResult(
         config=config,
         accuracy_min=float(np.mean(h0_min == true_h0)),
@@ -377,7 +467,8 @@ def run_cell(config: SimulationConfig, keep_records: bool = False) -> CellResult
         posterior_correlation=_pearson(posterior_min, posterior_nm),
         posterior_quantiles_min=FiveNumberSummary.from_values(posterior_min),
         posterior_quantiles_nm=FiveNumberSummary.from_values(posterior_nm),
-        per_rep_records=tuple(records) if keep_records else None,
+        series=RepSeries(f_stat, log_bf01_min, log_bf01_nm, posterior_min, posterior_nm)
+        if keep_records else None,
     )
 
 

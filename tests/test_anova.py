@@ -144,10 +144,15 @@ class TestDesignSpec:
         assert design.n_total == 46
         assert design.n_independent == 23
 
-    @pytest.mark.parametrize("n,k", [(1, 2), (2, 1), (0, 3), (2, 0), (-2, 2)])
+    @pytest.mark.parametrize("n,k", [(1, 2), (2, 1), (0, 3), (2, 0), (-2, 2), (5.0, 3)])
     def test_invalid_designs(self, n, k):
         with pytest.raises(DomainError):
             DesignSpec(n=n, k=k)
+
+    def test_numpy_integers_accepted(self):
+        design = DesignSpec(np.int64(5), np.int32(3))
+        assert design == DesignSpec(5, 3)
+        assert type(design.n) is int and type(design.k) is int
 
 
 class TestFCdf:

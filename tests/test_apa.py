@@ -48,6 +48,20 @@ class TestParseReports:
         stat = parse_reports("F(1, 22) = 1.3, p = 26")[0]
         assert stat.p_reported is None
 
+    def test_exponent_values(self):
+        text = "F(1, 22) = 1.3e2, p < .001"
+        stat = parse_reports(text)[0]
+        assert (stat.f_value, stat.p_reported, stat.p_is_upper_bound) == (130.0, 0.001, True)
+        assert stat.span == (0, len(text))
+        stat = parse_reports("F(2, 38) = 4.1E-1, p = 6.7e-1")[0]
+        assert (stat.f_value, stat.p_reported) == (0.41, 0.67)
+
+    def test_bare_exponent_marker_not_consumed(self):
+        stat = parse_reports("F(2, 10) = 4.5e, p = .03")[0]
+        assert stat.f_value == 4.5
+        assert stat.p_reported is None
+        assert stat.span == (0, len("F(2, 10) = 4.5"))
+
     def test_sub_unit_dfs_skipped(self):
         assert parse_reports("F(0, 22) = 3.0") == []
         assert parse_reports("F(0.5, 22) = 3.0") == []

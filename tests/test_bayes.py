@@ -137,10 +137,16 @@ class TestBetweenSubjects:
         (1.0, 3, 0, 100),
         (1.0, 3, 96, 1),
         (1.0, 1.5, 96, 100),
+        (1.0, True, 96, 100),
+        (1.0, 3, True, 100),
     ])
     def test_invalid_inputs(self, args):
         with pytest.raises(DomainError):
             bf01_between(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert bf01_between(2.0, np.int64(3), np.int32(96), np.uint64(100)) == \
+            bf01_between(2.0, 3, 96, 100)
 
 
 class TestNathooMasson:

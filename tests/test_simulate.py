@@ -1,6 +1,7 @@
 """Data generator, substreams, cell aggregation and grid determinism."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import rmbayes.simulate as sim
 from rmbayes import (
+    DesignSpec,
     ModelChoice,
     SimulationConfig,
+    SummaryStats,
     TreatmentProfile,
+    bf01_minimal_rm,
+    choose_model,
+    delta_bic_nathoo,
     generate_dataset,
     make_profile,
     rm_anova,
@@ -18,11 +24,22 @@ from rmbayes import (
     run_grid,
 )
 from rmbayes.errors import DomainError
-from rmbayes.simulate import _rep_profile, _rep_seed, _splitmix64
+from rmbayes.simulate import _rep_profile, _rep_seed, _rep_seeds, _splitmix64
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
     return SimulationConfig(n=n, rho=rho, delta=delta, **kwargs)
+
+
+def scalar_chain(config, reps):
+    """The one-replication-at-a-time reference for the listed replications:
+    profile, dataset, ANOVA, then both scalar Bayes factor routes."""
+    design = DesignSpec(n=config.n, k=config.k)
+    for rep in reps:
+        table = rm_anova(generate_dataset(config, _rep_profile(config, rep), rep))
+        yield table.f_stat, bf01_minimal_rm(table.f_stat, design), delta_bic_nathoo(
+            SummaryStats(ss_treatment=table.ss_treatment, ss_subjects=table.ss_subjects,
+                         ss_total=table.ss_total, design=design))
 
 
 class TestSplitmix:
@@ -44,13 +61,18 @@ class TestSplitmix:
         with pytest.raises(DomainError):
             _rep_seed(config_for(), -1)
 
+    def test_vectorised_seeds_match_scalar(self):
+        config = config_for(n=50, rho=0.8, delta=0.2, master_seed=2 ** 64 - 1)
+        assert _rep_seeds(config, 0, 1000).tolist() == [_rep_seed(config, rep)
+                                                         for rep in range(1000)]
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n": 1}, {"k": 1}, {"rho": 1.0}, {"rho": -0.1}, {"rho": float("nan")},
         {"delta": -0.2}, {"delta": float("inf")}, {"reps": 0},
         {"master_seed": -1}, {"master_seed": 2 ** 64}, {"spacing": "random"},
-        {"grand_mean": float("nan")},
+        {"grand_mean": float("nan")}, {"reps": True}, {"n": 20.0},
     ])
     def test_rejected(self, kwargs):
         base = {"n": 20, "rho": 0.2, "delta": 0.0}
@@ -60,6 +82,14 @@ class TestConfigValidation:
 
     def test_cell_id(self):
         assert config_for(n=20, rho=0.2, delta=0.5).cell_id == "n20_k3_rho0.2_delta0.5"
+
+    def test_numpy_integers_accepted(self):
+        config = config_for(n=np.int64(20), k=np.int32(3), reps=np.int64(4),
+                            master_seed=np.uint64(7))
+        assert config == config_for(n=20, k=3, reps=4, master_seed=7)
+        assert all(type(v) is int for v in (config.n, config.k, config.reps,
+                                            config.master_seed))
+        assert run_cell(config) == run_cell(config_for(n=20, k=3, reps=4, master_seed=7))
 
 
 class TestMakeProfile:
@@ -178,13 +208,43 @@ class TestRunCell:
     def test_records_disabled_by_default(self):
         assert run_cell(config_for(reps=3)).per_rep_records is None
 
-    def test_cell_errors_carry_cell_identity(self, monkeypatch):
-        def explode(_):
-            raise DomainError("synthetic failure")
+    def test_cell_errors_carry_cell_identity(self):
+        # with rho one ulp below 1 the noise SD is ~1e-8, so the residual
+        # vanishes against the treatment effect in every replication
+        config = config_for(rho=math.nextafter(1.0, 0.0), delta=0.5, reps=2)
+        with pytest.raises(DomainError, match=r"cell n20_k3_rho1_delta0\.5, replication 0: "):
+            run_cell(config)
 
-        monkeypatch.setattr(sim, "rm_anova", explode)
-        with pytest.raises(DomainError, match=r"n20_k3_rho0\.2_delta0.*replication 0"):
-            run_cell(config_for(reps=2))
+
+class TestBatchedCore:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=12, k=2, rho=0.0, delta=0.5),
+        dict(n=9, k=5, rho=0.8, delta=0.3, grand_mean=2.5),
+        dict(n=15, k=5, rho=0.0, delta=0.0),
+        dict(n=20, k=3, rho=0.8, delta=0.2, spacing="equal"),
+    ])
+    def test_matches_scalar_chain(self, kwargs):
+        config = SimulationConfig(reps=60, master_seed=31, **kwargs)
+        records = run_cell(config, keep_records=True).per_rep_records
+        reference = scalar_chain(config, range(config.reps))
+        for record, (f_stat, ev_min, ev_nm) in zip(records, reference, strict=True):
+            assert record.choice_min is choose_model(ev_min)
+            assert record.choice_nm is choose_model(ev_nm)
+            assert record.f_stat == pytest.approx(f_stat, rel=1e-12)
+            assert record.posterior_min == pytest.approx(ev_min.posterior_h0, rel=1e-12)
+            assert record.posterior_nm == pytest.approx(ev_nm.posterior_h0, rel=1e-12)
+
+    def test_block_boundary_changes_nothing(self):
+        config = config_for(n=20, rho=0.2, delta=0.5)
+        block = sim._BLOCK_VALUES // (config.n * config.k)
+        below = run_cell(replace(config, reps=block - 1), keep_records=True).series
+        above = run_cell(replace(config, reps=block + 1), keep_records=True).series
+        for field in fields(below):
+            assert np.array_equal(getattr(above, field.name)[:block - 1],
+                                  getattr(below, field.name))
+        (f_stat, ev_min, _), = scalar_chain(config, [block])
+        assert above.f_stat[block] == pytest.approx(f_stat, rel=1e-12)
+        assert above.posterior_min[block] == pytest.approx(ev_min.posterior_h0, rel=1e-12)
 
 
 class TestRunGrid:
