@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .anova import DesignSpec
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, is_real
 
 __all__ = [
     "EvidenceResult",
@@ -102,10 +102,12 @@ class SummaryStats:
     design: DesignSpec
 
     def __post_init__(self) -> None:
-        ssa, ssb, sst = self.ss_treatment, self.ss_subjects, self.ss_total
-        for name, value in (("ss_treatment", ssa), ("ss_subjects", ssb), ("ss_total", sst)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        for name in ("ss_treatment", "ss_subjects", "ss_total"):
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
                 raise DomainError(f"{name} must be a finite real, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        ssa, ssb, sst = self.ss_treatment, self.ss_subjects, self.ss_total
         if ssa < 0:
             raise DomainError(f"ss_treatment must be nonnegative, got {ssa!r}")
         if ssb <= 0:
@@ -123,12 +125,12 @@ class SummaryStats:
 
 
 def _check_prior(prior_h0: float) -> None:
-    if not (0.0 < prior_h0 < 1.0):
+    if not (is_real(prior_h0) and 0.0 < prior_h0 < 1.0):
         raise DomainError(f"prior_h0 must lie strictly between 0 and 1, got {prior_h0!r}")
 
 
 def _check_f(f_stat: float) -> None:
-    if math.isnan(f_stat) or math.isinf(f_stat) or f_stat < 0:
+    if not is_real(f_stat) or math.isnan(f_stat) or math.isinf(f_stat) or f_stat < 0:
         raise DomainError(f"F statistic must be a finite nonnegative real, got {f_stat!r}")
 
 

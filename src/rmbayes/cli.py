@@ -303,23 +303,26 @@ def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
                key + ["method", "min", "q1", "median", "q3", "max"], boxplot_rows)
 
     kept = [cell for cell in report.cells if cell.series is not None]
-    scatter_rows = [
-        [cell.cell_id, cell.config.delta, cell.config.rho, cell.config.n, rep,
-         posterior_min, posterior_nm]
-        for cell in kept
-        for rep, (posterior_min, posterior_nm) in enumerate(zip(
-            cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist()))
-    ]
+    scatter_rows = []
+    for cell in kept:
+        # the cell's columns, formatted once for all of its rows
+        head = [cell.cell_id, cell.config.delta, cell.config.rho, cell.config.n]
+        scatter_rows.extend(
+            head + [rep, posterior_min, posterior_nm]
+            for rep, (posterior_min, posterior_nm) in enumerate(zip(
+                cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist())))
     _write_csv(target("scatter_data.csv"),
                ["cell_id"] + key + ["rep", "posterior_min", "posterior_nm"], scatter_rows)
 
     if emit_per_rep:
-        per_rep_rows = [
-            [cell.cell_id, record.rep, record.f_stat, record.bf01_min, record.bf01_nm,
-             record.posterior_min, record.posterior_nm,
-             record.choice_min.value, record.choice_nm.value]
-            for cell in kept for record in cell.series.records()
-        ]
+        per_rep_rows = []
+        for cell in kept:
+            cell_id = cell.cell_id
+            per_rep_rows.extend(
+                [cell_id, record.rep, record.f_stat, record.bf01_min, record.bf01_nm,
+                 record.posterior_min, record.posterior_nm,
+                 record.choice_min.value, record.choice_nm.value]
+                for record in cell.series.records())
         _write_csv(target("per_rep.csv"),
                    ["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
                     "posterior_min", "posterior_nm", "choice_min", "choice_nm"],

@@ -1,7 +1,8 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the number checks shared across the package."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Optional
 
@@ -29,3 +30,11 @@ def as_int(value) -> Optional[int]:
         return operator.index(value)
     except TypeError:
         return None
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: any ``numbers.Real``, numpy
+    scalars included, but not ``bool``."""
+    if isinstance(value, float):  # the common case, without the ABC check
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

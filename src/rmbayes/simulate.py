@@ -15,10 +15,14 @@ Every replication owns two RNG substreams derived by splitmix64 hash-mixing
 of the master seed, the cell parameters and the replication index: one for
 the placement of the condition means, one for the subject/noise draws.
 Results are therefore bit-identical whether cells run sequentially or on any
-number of worker processes.  Each substream is a numpy PCG64 ``Generator``;
-normal deviates come from its ziggurat method, subject effects before the
-noise matrix, and are scaled afterwards, which gives the same values as
-``Generator.normal`` with that scale.
+number of worker processes.  Each substream is the numpy PCG64 ``Generator``
+of ``np.random.default_rng(seed)``; :func:`run_cell` builds them without
+``default_rng`` by doing numpy's ``SeedSequence`` hashing for a whole block
+of seeds at once in uint32 array arithmetic, and checks once per process
+that the result equals ``default_rng``.  Normal deviates come from the
+ziggurat method, subject effects before the noise matrix, and are scaled
+afterwards, which gives the same values as ``Generator.normal`` with that
+scale.
 
 :func:`run_cell` works in batched passes over blocks of replications.  The
 substreams, the datasets and the model choices (hence accuracies and
@@ -74,6 +78,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 # tags the effect-placement substream apart from the subject/noise substream
 _PROFILE_STREAM_TAG = 0x70726F66696C6531
 # Data values per batched pass of run_cell (at least one dataset): bounds its
@@ -81,6 +86,16 @@ _PROFILE_STREAM_TAG = 0x70726F66696C6531
 _BLOCK_VALUES = 1 << 16
 
 _SPACINGS = ("uniform", "equal")
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SEED_SEQ_INIT_A = 0x43B0D7E5
+_SEED_SEQ_MULT_A = 0x931E8875
+_SEED_SEQ_INIT_B = 0x8B51F9DD
+_SEED_SEQ_MULT_B = 0x58F38DED
+_SEED_SEQ_MIX_MULT_L = 0xCA01F9DD
+_SEED_SEQ_MIX_MULT_R = 0x4973F715
+# both 32-bit halves nonzero, so the check covers the whole entropy pool
+_SEED_SEQ_CHECK_SEED = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -332,6 +347,86 @@ def _rep_seeds(config: SimulationConfig, first: int, stop: int) -> np.ndarray:
     return _splitmix64(np.arange(first, stop, dtype=np.uint64) ^ _cell_seed(config))
 
 
+def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every s of a uint64
+    seed array, as one (len(seeds), 4) uint64 row each.
+
+    numpy's hashing, over the whole array at once: the entropy words
+    [lo32, hi32] of s, zero-padded, are mixed into a 4-word pool, which is
+    then hashed into eight output words.  A seed below 2**32 has the one
+    entropy word lo32, which numpy pads to the same pool.
+    """
+    hash_a = _SEED_SEQ_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _SEED_SEQ_MULT_A & _MASK32
+        value *= np.uint32(hash_a)
+        return value ^ (value >> 16)
+
+    zeros = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [hashmix(word) for word in ((seeds & _MASK32).astype(np.uint32),
+                                       (seeds >> 32).astype(np.uint32), zeros, zeros)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_SEED_SEQ_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_SEED_SEQ_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    state = np.empty((len(seeds), 8), dtype="<u4")
+    hash_b = _SEED_SEQ_INIT_B
+    for word in range(8):
+        value = pool[word % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _SEED_SEQ_MULT_B & _MASK32
+        value *= np.uint32(hash_b)
+        state[:, word] = value ^ (value >> 16)
+    # pairs of 32-bit words, low word first, are the uint64 words
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _substream_factory():
+    """A function from one row of :func:`_seed_sequence_states` to the
+    ``Generator`` that ``np.random.default_rng`` gives for that row's seed.
+
+    Built on first use, so importing this module does not load numpy.random,
+    and checked once against ``default_rng``: a numpy whose seeding differs
+    raises RuntimeError rather than silently changing every stream.
+    """
+    from numpy.random import PCG64, Generator, default_rng
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeedSequence(ISeedSequence):
+        """Hands PCG64 the state words of a precomputed SeedSequence hash."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    def substream(words: np.ndarray):
+        return Generator(PCG64(HashedSeedSequence(words)))
+
+    probe = np.array([_SEED_SEQ_CHECK_SEED], dtype=np.uint64)
+    if (substream(_seed_sequence_states(probe)[0]).bit_generator.state
+            != default_rng(_SEED_SEQ_CHECK_SEED).bit_generator.state):
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds PCG64 differently from the SeedSequence "
+            "hashing in rmbayes.simulate, so its substreams would not be the "
+            "default_rng streams"
+        )
+    return substream
+
+
+def _substreams(seeds: np.ndarray):
+    """``np.random.default_rng(s)`` for every s of a uint64 seed array, in
+    order, with the SeedSequence hashing done for the whole array at once."""
+    return map(_substream_factory(), _seed_sequence_states(seeds))
+
+
 def make_profile(config: SimulationConfig) -> TreatmentProfile:
     """Equally spaced, sum-to-zero treatment effects with range ``delta``.
 
@@ -369,8 +464,8 @@ def _profiles(config: SimulationConfig, seeds: np.ndarray) -> np.ndarray:
     relative[:, 0] = 0.0
     relative[:, -1] = 1.0
     interior = relative[:, 1:-1]
-    for row, seed in zip(interior, _splitmix64(seeds ^ _PROFILE_STREAM_TAG).tolist()):
-        np.random.default_rng(seed).random(out=row)
+    for row, rng in zip(interior, _substreams(_splitmix64(seeds ^ _PROFILE_STREAM_TAG))):
+        rng.random(out=row)
     interior.sort(axis=1)
     means = config.delta * relative
     return means - means.mean(axis=1, keepdims=True)
@@ -427,8 +522,7 @@ def run_cell(config: SimulationConfig, keep_records: bool = False) -> CellResult
         stop = min(first + block, reps)
         size = stop - first
         seeds = _rep_seeds(config, first, stop)
-        for rep_subject, rep_noise, seed in zip(subject, noise, seeds.tolist()):
-            rng = np.random.default_rng(seed)
+        for rep_subject, rep_noise, rng in zip(subject, noise, _substreams(seeds)):
             rng.standard_normal(out=rep_subject)
             rng.standard_normal(out=rep_noise)
         sub, noi, dat = subject[:size], noise[:size], data[:size]

@@ -116,6 +116,13 @@ class TestMinimalRm:
         with pytest.raises(DomainError):
             bf01_minimal_rm(1.0, (23, 2))
 
+    @pytest.mark.parametrize("f_stat,prior", [
+        ("1.3", 0.5), (None, 0.5), (True, 0.5), (1.3, None), (1.3, "0.5"),
+    ])
+    def test_non_numeric_inputs(self, f_stat, prior):
+        with pytest.raises(DomainError, match="must"):
+            bf01_minimal_rm(f_stat, DESIGN_23_2, prior_h0=prior)
+
 
 class TestBetweenSubjects:
     def test_worked_example(self):
@@ -139,6 +146,11 @@ class TestBetweenSubjects:
         (1.0, 1.5, 96, 100),
         (1.0, True, 96, 100),
         (1.0, 3, True, 100),
+        ("1.3", 3, 96, 100),
+        (None, 3, 96, 100),
+        (True, 3, 96, 100),
+        (1.3, 3, 96, 100, None),
+        (1.3, 3, 96, 100, "0.5"),
     ])
     def test_invalid_inputs(self, args):
         with pytest.raises(DomainError):
@@ -147,6 +159,10 @@ class TestBetweenSubjects:
     def test_numpy_integers_accepted(self):
         assert bf01_between(2.0, np.int64(3), np.int32(96), np.uint64(100)) == \
             bf01_between(2.0, 3, 96, 100)
+
+    def test_numpy_reals_accepted(self):
+        assert bf01_between(np.float32(2.5), 3, 96, 100, prior_h0=np.float64(0.25)) == \
+            bf01_between(2.5, 3, 96, 100, prior_h0=0.25)
 
 
 class TestNathooMasson:
@@ -205,6 +221,21 @@ class TestNathooMasson:
         with pytest.raises(DomainError):
             SummaryStats(ss_treatment=ssa, ss_subjects=ssb, ss_total=sst,
                          design=DESIGN_23_2)
+
+    def test_numpy_numbers_stored_as_float(self):
+        stats = SummaryStats(ss_treatment=np.int64(739), ss_subjects=np.float32(103984.0),
+                             ss_total=116399, design=DESIGN_23_2)
+        assert (stats.ss_treatment, stats.ss_subjects, stats.ss_total) == \
+            (739.0, 103984.0, 116399.0)
+        assert all(type(v) is float for v in (stats.ss_treatment, stats.ss_subjects,
+                                              stats.ss_total))
+
+    @pytest.mark.parametrize("field", ["ss_treatment", "ss_subjects", "ss_total"])
+    def test_bool_and_strings_rejected(self, field):
+        values = dict(ss_treatment=739.0, ss_subjects=103984.0, ss_total=116399.0)
+        for bad in (True, "739"):
+            with pytest.raises(DomainError, match=f"{field} must be a finite real"):
+                SummaryStats(design=DESIGN_23_2, **{**values, field: bad})
 
     def test_residual_property(self):
         stats = SummaryStats(ss_treatment=739.0, ss_subjects=103984.0,

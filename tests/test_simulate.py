@@ -1,7 +1,11 @@
 """Data generator, substreams, cell aggregation and grid determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,14 @@ from rmbayes import (
     run_grid,
 )
 from rmbayes.errors import DomainError
-from rmbayes.simulate import _rep_profile, _rep_seed, _rep_seeds, _splitmix64
+from rmbayes.simulate import (
+    _rep_profile,
+    _rep_seed,
+    _rep_seeds,
+    _seed_sequence_states,
+    _splitmix64,
+    _substreams,
+)
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
@@ -65,6 +76,55 @@ class TestSplitmix:
         config = config_for(n=50, rho=0.8, delta=0.2, master_seed=2 ** 64 - 1)
         assert _rep_seeds(config, 0, 1000).tolist() == [_rep_seed(config, rep)
                                                          for rep in range(1000)]
+
+
+class TestSubstreams:
+    EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+    def seeds(self):
+        drawn = np.random.default_rng(2024).integers(0, 2 ** 64, 10_000, dtype=np.uint64,
+                                                     endpoint=False)
+        return np.concatenate([drawn, np.array(self.EDGE_SEEDS, dtype=np.uint64)])
+
+    def test_states_match_seed_sequence(self):
+        seeds = self.seeds()
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+                    for s in seeds.tolist()]
+        assert _seed_sequence_states(seeds).tolist() == expected
+
+    def test_streams_equal_default_rng(self):
+        seeds = self.seeds()
+        for rng, seed in zip(_substreams(seeds), seeds.tolist(), strict=True):
+            reference = np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.standard_normal() == reference.standard_normal()
+            assert rng.random() == reference.random()
+
+    def test_pinned_f_values(self):
+        # literal values, so a change of seeding fails here even where numpy
+        # itself drifts along with it
+        config = SimulationConfig(n=20, rho=0.2, delta=0.5, master_seed=12345)
+        f_stat = run_cell(config, keep_records=True).series.f_stat
+        assert [repr(f) for f in f_stat[:3].tolist()] == [
+            "1.6451131768306844", "1.4265509481314473", "1.1644357678890496"]
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rmbayes.cli; print('numpy.random' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout.strip()
+        assert loaded == "False"
+
+    def test_seeding_mismatch_raises(self, monkeypatch):
+        # a failed check is not cached, so the next use checks again with
+        # the restored constant
+        sim._substream_factory.cache_clear()
+        monkeypatch.setattr(sim, "_SEED_SEQ_MULT_B", sim._SEED_SEQ_MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match=rf"numpy {np.__version__} "):
+            run_cell(config_for(reps=2))
 
 
 class TestConfigValidation:
