@@ -16,15 +16,12 @@ from .bayes import (
     bf01_minimal_rm,
     choose_model,
     delta_bic_nathoo,
-    effective_sample_size,
-    posterior_probs,
 )
 from .errors import DegenerateResidualError, DesignInferenceError, DomainError
 from .simulate import (
     CellResult,
     FiveNumberSummary,
     GridReport,
-    RepRecord,
     RepSeries,
     SimulationConfig,
     TreatmentProfile,
@@ -46,25 +43,22 @@ __all__ = [
     "GridReport",
     "Method",
     "ModelChoice",
-    "RepRecord",
     "RepSeries",
     "ReportedStat",
     "SimulationConfig",
     "SummaryStats",
     "TreatmentProfile",
+    "__version__",
     "bf01_between",
     "bf01_minimal_rm",
     "choose_model",
     "delta_bic_nathoo",
-    "effective_sample_size",
     "f_cdf",
     "generate_dataset",
     "infer_rm_design",
     "make_profile",
     "parse_reports",
-    "posterior_probs",
     "rm_anova",
     "run_cell",
     "run_grid",
-    "__version__",
 ]

@@ -39,16 +39,6 @@ class DesignSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
-    @property
-    def n_total(self) -> int:
-        """Total number of measurements, n*k."""
-        return self.n * self.k
-
-    @property
-    def n_independent(self) -> int:
-        """Number of independent observations in the design, n*(k-1)."""
-        return self.n * (self.k - 1)
-
 
 @dataclass(frozen=True)
 class AnovaTable:
@@ -66,21 +56,6 @@ class AnovaTable:
     ms_residual: float
     f_stat: float
     p_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ss_treatment": self.ss_treatment,
-            "ss_subjects": self.ss_subjects,
-            "ss_residual": self.ss_residual,
-            "ss_total": self.ss_total,
-            "df_treatment": self.df_treatment,
-            "df_subjects": self.df_subjects,
-            "df_residual": self.df_residual,
-            "ms_treatment": self.ms_treatment,
-            "ms_residual": self.ms_residual,
-            "f_stat": self.f_stat,
-            "p_value": self.p_value,
-        }
 
 
 def rm_anova(data) -> AnovaTable:

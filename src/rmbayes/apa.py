@@ -40,17 +40,6 @@ class ReportedStat:
     p_is_upper_bound: bool = False
     span: tuple[int, int] = (0, 0)
 
-    def to_dict(self) -> dict:
-        return {
-            "f_value": self.f_value,
-            "df1": self.df1,
-            "df2": self.df2,
-            "p_reported": self.p_reported,
-            "f_is_upper_bound": self.f_is_upper_bound,
-            "p_is_upper_bound": self.p_is_upper_bound,
-            "span": list(self.span),
-        }
-
 
 def parse_reports(text: str) -> list[ReportedStat]:
     """All non-overlapping F reports in ``text``, in order of appearance.

@@ -38,8 +38,6 @@ __all__ = [
     "bf01_minimal_rm",
     "choose_model",
     "delta_bic_nathoo",
-    "effective_sample_size",
-    "posterior_probs",
 ]
 
 _MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -76,19 +74,6 @@ class EvidenceResult:
     posterior_h1: float
     prior_h0: float
     saturated: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "log_bf01": self.log_bf01,
-            "bf01": self.bf01,
-            "bf10": self.bf10,
-            "delta_bic10": self.delta_bic10,
-            "posterior_h0": self.posterior_h0,
-            "posterior_h1": self.posterior_h1,
-            "prior_h0": self.prior_h0,
-            "saturated": self.saturated,
-        }
 
 
 @dataclass(frozen=True)
@@ -233,33 +218,6 @@ def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResu
     log_bf01 = _log_bf01_nathoo(stats.design.n, stats.design.k, stats.ss_treatment,
                                 stats.ss_subjects, stats.ss_total)
     return _result(Method.NATHOO_MASSON, log_bf01, prior_h0)
-
-
-def posterior_probs(bf01: float, prior_h0: float = 0.5) -> tuple[float, float]:
-    """Posterior model probabilities from a Bayes factor and a prior.
-
-    Returns (p(H0|y), p(H1|y)) with
-    p(H0|y) = BF01 * p(H0) / (BF01 * p(H0) + p(H1)); at prior_h0 = 0.5 this
-    reduces to BF01 / (BF01 + 1).
-    """
-    if not (bf01 > 0) or math.isinf(bf01):
-        raise DomainError(f"bf01 must be a finite positive real, got {bf01!r}")
-    _check_prior(prior_h0)
-    weighted = bf01 * prior_h0
-    posterior_h0 = weighted / (weighted + (1.0 - prior_h0))
-    return posterior_h0, 1.0 - posterior_h0
-
-
-def effective_sample_size(design: DesignSpec, rho: float) -> float:
-    """Effective number of independent observations, nk / (1 + rho*(k-1)).
-
-    ``rho`` is the intraclass correlation: rho = 0 gives nk (fully
-    independent measurements), rho = 1 gives n (fully redundant ones).
-    Informational only; no Bayes factor route consumes it.
-    """
-    if math.isnan(rho) or not (0.0 <= rho <= 1.0):
-        raise DomainError(f"intraclass correlation must lie in [0, 1], got {rho!r}")
-    return design.n_total / (1.0 + rho * (design.k - 1))
 
 
 def choose_model(result: EvidenceResult) -> ModelChoice:

@@ -1,6 +1,9 @@
 """Command-line interface: Bayes factors from summary statistics, ANOVA on
 CSV data, the Monte Carlo grid, and scanning text for reported F statistics.
 
+This module alone turns the library's result dataclasses into the report-v1
+JSON and the CSV files.
+
 Exit codes: 0 success, 2 validation failure, 3 I/O failure.
 """
 
@@ -18,9 +21,16 @@ import numpy as np
 from . import __version__
 from .anova import DesignSpec, rm_anova
 from .apa import parse_reports, infer_rm_design
-from .bayes import SummaryStats, bf01_minimal_rm, delta_bic_nathoo
+from .bayes import (
+    ModelChoice,
+    SummaryStats,
+    _chooses_h0,
+    _saturating_exp,
+    bf01_minimal_rm,
+    delta_bic_nathoo,
+)
 from .errors import DomainError
-from .simulate import GridReport, run_grid
+from .simulate import FiveNumberSummary, GridReport, run_grid
 
 _SCHEMA_VERSION = 1
 
@@ -116,7 +126,7 @@ def cmd_bf(f_stat: float, n_subjects: int, k_conditions: int, prior_h0: float,
         "f": f_stat, "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
     })
     if as_json:
-        _echo_json({"manifest": manifest, "evidence": result.to_dict()})
+        _echo_json({"manifest": manifest, "evidence": vars(result)})
         return
     click.echo(f"F = {f_stat:g}, n = {n_subjects}, k = {k_conditions}")
     for line in _render_evidence(result, "minimal BIC (repeated measures)"):
@@ -147,7 +157,7 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions:
         "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
     })
     if as_json:
-        _echo_json({"manifest": manifest, "evidence": result.to_dict()})
+        _echo_json({"manifest": manifest, "evidence": vars(result)})
         return
     click.echo(f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n_subjects}, k = {k_conditions}")
     for line in _render_evidence(result, "Nathoo-Masson (sums of squares)"):
@@ -231,9 +241,9 @@ def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
         _echo_json({
             "manifest": manifest,
             "design": {"n": design.n, "k": design.k},
-            "anova": table.to_dict(),
+            "anova": vars(table),
             "evidence": None if evidence is None else {
-                key: value.to_dict() for key, value in evidence.items()
+                key: vars(value) for key, value in evidence.items()
             },
         })
         return
@@ -266,6 +276,25 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _grid_json(report: GridReport) -> dict:
+    """The report-v1 ``grid`` and ``cells`` members of a simulation report."""
+    def quantiles(q: FiveNumberSummary) -> dict:
+        return {"min": q.minimum, "q1": q.q1, "median": q.median, "q3": q.q3,
+                "max": q.maximum}
+
+    grid = {name: value for name, value in vars(report).items() if name != "cells"}
+    cells = [{
+        "cell_id": cell.cell_id, "n": cell.config.n, "k": cell.config.k,
+        "rho": cell.config.rho, "delta": cell.config.delta, "reps": cell.config.reps,
+        "accuracy_min": cell.accuracy_min, "accuracy_nm": cell.accuracy_nm,
+        "consistency": cell.consistency,
+        "posterior_correlation": cell.posterior_correlation,
+        "posterior_quantiles_min": quantiles(cell.posterior_quantiles_min),
+        "posterior_quantiles_nm": quantiles(cell.posterior_quantiles_nm),
+    } for cell in report.cells]
+    return {"grid": grid, "cells": cells}
+
+
 def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
                         emit_per_rep: bool) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
@@ -276,7 +305,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
         return os.path.join(out_dir, name)
 
     with open(target("grid_report.json"), "w", encoding="utf-8") as handle:
-        json.dump({"manifest": manifest, **report.to_dict()}, handle,
+        json.dump({"manifest": manifest, **_grid_json(report)}, handle,
                   indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -294,17 +323,15 @@ def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
 
     boxplot_rows = []
     for cell in report.cells:
-        for method, quantiles in (("minimal_rm", cell.posterior_quantiles_min),
-                                  ("nathoo_masson", cell.posterior_quantiles_nm)):
-            q = quantiles.to_dict()
+        for method, q in (("minimal_rm", cell.posterior_quantiles_min),
+                          ("nathoo_masson", cell.posterior_quantiles_nm)):
             boxplot_rows.append([cell.config.delta, cell.config.rho, cell.config.n, method,
-                                 q["min"], q["q1"], q["median"], q["q3"], q["max"]])
+                                 q.minimum, q.q1, q.median, q.q3, q.maximum])
     _write_csv(target("boxplot_data.csv"),
                key + ["method", "min", "q1", "median", "q3", "max"], boxplot_rows)
 
-    kept = [cell for cell in report.cells if cell.series is not None]
     scatter_rows = []
-    for cell in kept:
+    for cell in report.cells:
         # the cell's columns, formatted once for all of its rows
         head = [cell.cell_id, cell.config.delta, cell.config.rho, cell.config.n]
         scatter_rows.extend(
@@ -315,14 +342,19 @@ def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
                ["cell_id"] + key + ["rep", "posterior_min", "posterior_nm"], scatter_rows)
 
     if emit_per_rep:
+        choice = {True: ModelChoice.H0.value, False: ModelChoice.H1.value}
         per_rep_rows = []
-        for cell in kept:
-            cell_id = cell.cell_id
+        for cell in report.cells:
+            cell_id, series = cell.cell_id, cell.series
+            columns = zip(series.f_stat.tolist(), series.log_bf01_min.tolist(),
+                          series.log_bf01_nm.tolist(), series.posterior_min.tolist(),
+                          series.posterior_nm.tolist())
             per_rep_rows.extend(
-                [cell_id, record.rep, record.f_stat, record.bf01_min, record.bf01_nm,
-                 record.posterior_min, record.posterior_nm,
-                 record.choice_min.value, record.choice_nm.value]
-                for record in cell.series.records())
+                [cell_id, rep, f_stat, _saturating_exp(log_min)[0],
+                 _saturating_exp(log_nm)[0], posterior_min, posterior_nm,
+                 choice[_chooses_h0(log_min)], choice[_chooses_h0(log_nm)]]
+                for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm)
+                in enumerate(columns))
         _write_csv(target("per_rep.csv"),
                    ["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
                     "posterior_min", "posterior_nm", "choice_min", "choice_nm"],
@@ -362,11 +394,8 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
         n_values = _parse_number_list(n_list, int, "subject-count")
         rho_values = _parse_number_list(rho_list, float, "correlation")
         delta_values = _parse_number_list(delta_list, float, "effect-size")
-        if workers < 1:
-            raise DomainError(f"workers must be >= 1, got {workers}")
         report = run_grid(n_values, rho_values, delta_values, k=k, reps=reps,
-                          master_seed=seed, spacing=spacing, workers=workers,
-                          keep_records=True)
+                          master_seed=seed, spacing=spacing, workers=workers)
     except DomainError as exc:
         _validation_exit(str(exc))
     manifest = _manifest("simulate", {
@@ -421,14 +450,13 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
 
     entries = []
     for stat in stats:
-        entry = stat.to_dict()
-        entry.update({"design": None, "evidence": None, "error": None})
+        entry = {**vars(stat), "design": None, "evidence": None, "error": None}
         if assume_rm:
             try:
                 design = infer_rm_design(stat)
                 result = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
                 entry["design"] = {"n": design.n, "k": design.k}
-                entry["evidence"] = result.to_dict()
+                entry["evidence"] = vars(result)
             except DomainError as exc:
                 entry["error"] = str(exc)
         entries.append((stat, entry))

@@ -39,6 +39,14 @@ redrawn uniformly between the extremes for every replication, which matches
 the observed operating characteristics of this simulation design.  With
 ``spacing="equal"`` the means stay fixed and equally spaced, as produced by
 :func:`make_profile`.
+
+Results
+-------
+:func:`run_cell` returns a :class:`CellResult`: the cell's aggregates and,
+as its ``series``, the per-replication arrays of a :class:`RepSeries`.
+:func:`run_grid` returns a :class:`GridReport` of cells.  All of them are
+plain frozen dataclasses; the JSON and CSV files are built from them by the
+command-line interface alone.
 """
 
 from __future__ import annotations
@@ -53,21 +61,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .anova import _decompose
-from .bayes import (
-    ModelChoice,
-    _chooses_h0,
-    _log_bf01_minimal_rm,
-    _log_bf01_nathoo,
-    _posterior_h0,
-    _saturating_exp,
-)
-from .errors import DegenerateResidualError, DomainError, as_int
+from .bayes import _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
+from .errors import DegenerateResidualError, DomainError, as_int, is_real
 
 __all__ = [
     "CellResult",
     "FiveNumberSummary",
     "GridReport",
-    "RepRecord",
     "RepSeries",
     "SimulationConfig",
     "TreatmentProfile",
@@ -117,21 +117,23 @@ class SimulationConfig:
             raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
         if k is None or k < 2:
             raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
-        if math.isnan(self.rho) or not (0.0 <= self.rho < 1.0):
+        if not (is_real(self.rho) and 0.0 <= self.rho < 1.0):
             raise DomainError(
                 f"intraclass correlation must lie in [0, 1), got rho={self.rho!r}"
             )
-        if math.isnan(self.delta) or math.isinf(self.delta) or self.delta < 0:
+        if not (is_real(self.delta) and math.isfinite(self.delta) and self.delta >= 0):
             raise DomainError(f"effect size must be a finite nonnegative real, got {self.delta!r}")
         if reps is None or reps < 1:
             raise DomainError(f"need at least 1 replication, got reps={self.reps!r}")
         if seed is None or not 0 <= seed <= _MASK64:
             raise DomainError("master_seed must be an unsigned 64-bit integer")
-        if not math.isfinite(self.grand_mean):
-            raise DomainError(f"grand_mean must be finite, got {self.grand_mean!r}")
+        if not (is_real(self.grand_mean) and math.isfinite(self.grand_mean)):
+            raise DomainError(f"grand_mean must be a finite real, got {self.grand_mean!r}")
         if self.spacing not in _SPACINGS:
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
-        for name, value in (("n", n), ("k", k), ("reps", reps), ("master_seed", seed)):
+        for name, value in (("n", n), ("k", k), ("reps", reps), ("master_seed", seed),
+                            ("rho", float(self.rho)), ("delta", float(self.delta)),
+                            ("grand_mean", float(self.grand_mean))):
             object.__setattr__(self, name, value)
 
     @property
@@ -160,41 +162,6 @@ class FiveNumberSummary:
         q = np.percentile(values, [0, 25, 50, 75, 100])
         return cls(*(float(v) for v in q))
 
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-        }
-
-
-@dataclass(frozen=True)
-class RepRecord:
-    """Per-replication outcomes for both methods."""
-
-    rep: int
-    f_stat: float
-    bf01_min: float
-    bf01_nm: float
-    posterior_min: float
-    posterior_nm: float
-    choice_min: ModelChoice
-    choice_nm: ModelChoice
-
-    def to_dict(self) -> dict:
-        return {
-            "rep": self.rep,
-            "f_stat": self.f_stat,
-            "bf01_min": self.bf01_min,
-            "bf01_nm": self.bf01_nm,
-            "posterior_min": self.posterior_min,
-            "posterior_nm": self.posterior_nm,
-            "choice_min": self.choice_min.value,
-            "choice_nm": self.choice_nm.value,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class RepSeries:
@@ -213,19 +180,6 @@ class RepSeries:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    def records(self) -> tuple[RepRecord, ...]:
-        """One record per replication."""
-        choice = {True: ModelChoice.H0, False: ModelChoice.H1}
-        columns = zip(self.f_stat.tolist(), self.log_bf01_min.tolist(),
-                      self.log_bf01_nm.tolist(), self.posterior_min.tolist(),
-                      self.posterior_nm.tolist())
-        return tuple(
-            RepRecord(rep, f_stat, _saturating_exp(log_min)[0], _saturating_exp(log_nm)[0],
-                      posterior_min, posterior_nm,
-                      choice[_chooses_h0(log_min)], choice[_chooses_h0(log_nm)])
-            for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(columns)
-        )
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -235,6 +189,7 @@ class CellResult:
     (H0 exactly when delta = 0), ``consistency`` the proportion where both
     methods agree, and ``posterior_correlation`` the Pearson correlation of
     the two p(H0|y) series (None when undefined, e.g. a single replication).
+    ``series`` holds the per-replication outcomes the aggregates came from.
     """
 
     config: SimulationConfig
@@ -244,35 +199,11 @@ class CellResult:
     posterior_correlation: Optional[float]
     posterior_quantiles_min: FiveNumberSummary
     posterior_quantiles_nm: FiveNumberSummary
-    series: Optional[RepSeries] = None
+    series: RepSeries
 
     @property
     def cell_id(self) -> str:
         return self.config.cell_id
-
-    @property
-    def per_rep_records(self) -> Optional[tuple[RepRecord, ...]]:
-        """The per-replication outcomes as records, when the cell kept them."""
-        return None if self.series is None else self.series.records()
-
-    def to_dict(self, include_records: bool = False) -> dict:
-        payload = {
-            "cell_id": self.cell_id,
-            "n": self.config.n,
-            "k": self.config.k,
-            "rho": self.config.rho,
-            "delta": self.config.delta,
-            "reps": self.config.reps,
-            "accuracy_min": self.accuracy_min,
-            "accuracy_nm": self.accuracy_nm,
-            "consistency": self.consistency,
-            "posterior_correlation": self.posterior_correlation,
-            "posterior_quantiles_min": self.posterior_quantiles_min.to_dict(),
-            "posterior_quantiles_nm": self.posterior_quantiles_nm.to_dict(),
-        }
-        if include_records and self.series is not None:
-            payload["per_rep_records"] = [r.to_dict() for r in self.series.records()]
-        return payload
 
 
 @dataclass(frozen=True)
@@ -288,20 +219,6 @@ class GridReport:
     master_seed: int
     spacing: str
     cells: tuple[CellResult, ...]
-
-    def to_dict(self, include_records: bool = False) -> dict:
-        return {
-            "grid": {
-                "n_values": list(self.n_values),
-                "rho_values": list(self.rho_values),
-                "delta_values": list(self.delta_values),
-                "k": self.k,
-                "reps": self.reps,
-                "master_seed": self.master_seed,
-                "spacing": self.spacing,
-            },
-            "cells": [c.to_dict(include_records) for c in self.cells],
-        }
 
 
 def _splitmix64(z):
@@ -501,7 +418,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     return float((xd @ yd) / (sx * sy))
 
 
-def run_cell(config: SimulationConfig, keep_records: bool = False) -> CellResult:
+def run_cell(config: SimulationConfig) -> CellResult:
     """Run every replication of one cell and aggregate both methods.
 
     Each replication generates a dataset, decomposes its sums of squares,
@@ -561,34 +478,36 @@ def run_cell(config: SimulationConfig, keep_records: bool = False) -> CellResult
         posterior_correlation=_pearson(posterior_min, posterior_nm),
         posterior_quantiles_min=FiveNumberSummary.from_values(posterior_min),
         posterior_quantiles_nm=FiveNumberSummary.from_values(posterior_nm),
-        series=RepSeries(f_stat, log_bf01_min, log_bf01_nm, posterior_min, posterior_nm)
-        if keep_records else None,
+        series=RepSeries(f_stat, log_bf01_min, log_bf01_nm, posterior_min, posterior_nm),
     )
 
 
 def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
              delta_values: Sequence[float], k: int = 3, reps: int = 1000,
-             master_seed: int = 0, spacing: str = "uniform", workers: int = 1,
-             keep_records: bool = False) -> GridReport:
+             master_seed: int = 0, spacing: str = "uniform",
+             workers: int = 1) -> GridReport:
     """Run every (delta, rho, n) cell of the grid.
 
-    Cells are independent; with ``workers > 1`` they run on a process pool,
-    and the substream seeding guarantees the report is identical to a
-    sequential run.
+    Cells are independent; with ``workers > 1`` they run on a process pool
+    of at most one process per cell, and the substream seeding guarantees
+    the report is identical to a sequential run.
     """
     if not n_values or not rho_values or not delta_values:
         raise DomainError("n_values, rho_values and delta_values must all be nonempty")
+    pool_size = as_int(workers)
+    if pool_size is None or pool_size < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     configs = [
         SimulationConfig(n=n, rho=rho, delta=delta, k=k, reps=reps,
                          master_seed=master_seed, spacing=spacing)
         for delta in delta_values for rho in rho_values for n in n_values
     ]
-    runner = functools.partial(run_cell, keep_records=keep_records)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(runner, configs))
+    pool_size = min(pool_size, len(configs))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            cells = tuple(pool.map(run_cell, configs))
     else:
-        cells = tuple(runner(config) for config in configs)
+        cells = tuple(map(run_cell, configs))
     return GridReport(
         n_values=tuple(n_values),
         rho_values=tuple(rho_values),

@@ -73,7 +73,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def reference_grid():
     started = time.perf_counter()
     grid = run_grid((20, 50, 80), (0.2, 0.8), (0.0, 0.2, 0.5), k=3, reps=1000,
-                    master_seed=ACCEPTANCE_SEED, keep_records=True)
+                    master_seed=ACCEPTANCE_SEED)
     elapsed = time.perf_counter() - started
     cells = {(c.config.delta, c.config.rho, c.config.n): c for c in grid.cells}
     return cells, elapsed
@@ -259,7 +259,7 @@ def test_criterion_09_property_suites():
 
     # grid determinism: parallel == sequential
     kwargs = dict(n_values=(20, 50), rho_values=(0.2, 0.8), delta_values=(0.0, 0.5),
-                  reps=50, master_seed=ACCEPTANCE_SEED, keep_records=True)
+                  reps=50, master_seed=ACCEPTANCE_SEED)
     if run_grid(workers=2, **kwargs) != run_grid(workers=1, **kwargs):
         failures.append("parallel determinism")
 
@@ -313,7 +313,7 @@ def test_criterion_10_minimal_posterior_dominates_at_high_correlation(reference_
     for (delta, rho, n), cell in cells.items():
         if rho != 0.8:
             continue
-        diffs = [r.posterior_min - r.posterior_nm for r in cell.per_rep_records]
+        diffs = cell.series.posterior_min - cell.series.posterior_nm
         medians[(delta, rho, n)] = float(np.median(diffs))
     worst = min(medians.values())
     ok = worst >= 0.0

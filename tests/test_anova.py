@@ -139,11 +139,6 @@ class TestRmAnova:
 
 
 class TestDesignSpec:
-    def test_derived_counts(self):
-        design = DesignSpec(n=23, k=2)
-        assert design.n_total == 46
-        assert design.n_independent == 23
-
     @pytest.mark.parametrize("n,k", [(1, 2), (2, 1), (0, 3), (2, 0), (-2, 2), (5.0, 3)])
     def test_invalid_designs(self, n, k):
         with pytest.raises(DomainError):

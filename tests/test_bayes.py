@@ -18,10 +18,9 @@ from rmbayes import (
     bf01_minimal_rm,
     choose_model,
     delta_bic_nathoo,
-    effective_sample_size,
-    posterior_probs,
     rm_anova,
 )
+from rmbayes.bayes import _posterior_h0
 from rmbayes.errors import DomainError
 
 
@@ -243,17 +242,23 @@ class TestNathooMasson:
         assert stats.ss_residual == pytest.approx(11676.0)
 
 
+def posteriors(bf01, prior_h0):
+    """(p(H0|y), p(H1|y)) from the posterior log odds, as _result derives them."""
+    posterior_h0 = _posterior_h0(math.log(bf01), prior_h0)
+    return posterior_h0, 1.0 - posterior_h0
+
+
 class TestPosteriorProbs:
     def test_worked_example(self):
-        p0, p1 = posterior_probs(2.435, 0.5)
+        p0, p1 = posteriors(2.435, 0.5)
         assert p0 == pytest.approx(0.709, abs=0.001)
         assert p0 + p1 == 1.0
 
     def test_even_evidence(self):
-        assert posterior_probs(1.0, 0.5) == (0.5, 0.5)
+        assert posteriors(1.0, 0.5) == (0.5, 0.5)
 
     def test_general_prior(self):
-        p0, _ = posterior_probs(2.435, 0.25)
+        p0, _ = posteriors(2.435, 0.25)
         assert p0 == pytest.approx(0.448, abs=0.0005)
         assert p0 == pytest.approx(0.4480220791168353, rel=1e-12)
 
@@ -263,35 +268,19 @@ class TestPosteriorProbs:
         prior=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
     )
     def test_probability_axioms(self, bf01, prior):
-        p0, p1 = posterior_probs(bf01, prior)
+        p0, p1 = posteriors(bf01, prior)
         assert 0.0 < p0 < 1.0
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
         if prior == 0.5:
             assert p0 == pytest.approx(bf01 / (bf01 + 1.0), rel=1e-12)
 
-    @pytest.mark.parametrize("bf,prior", [
-        (0.0, 0.5), (-2.0, 0.5), (float("inf"), 0.5), (float("nan"), 0.5),
+    @pytest.mark.parametrize("f_stat,prior", [
         (2.0, 0.0), (2.0, 1.0), (2.0, -0.1), (2.0, float("nan")),
     ])
-    def test_invalid_inputs(self, bf, prior):
+    def test_invalid_inputs(self, f_stat, prior):
+        # the prior is checked by the Bayes factor routes that derive posteriors
         with pytest.raises(DomainError):
-            posterior_probs(bf, prior)
-
-
-class TestEffectiveSampleSize:
-    def test_independent_measurements(self):
-        assert effective_sample_size(DesignSpec(n=20, k=3), 0.0) == 60.0
-
-    def test_fully_redundant_measurements(self):
-        assert effective_sample_size(DesignSpec(n=20, k=3), 1.0) == pytest.approx(20.0)
-
-    def test_intermediate(self):
-        assert effective_sample_size(DesignSpec(n=20, k=3), 0.5) == pytest.approx(30.0)
-
-    @pytest.mark.parametrize("rho", [-0.1, 1.1, float("nan")])
-    def test_invalid_rho(self, rho):
-        with pytest.raises(DomainError):
-            effective_sample_size(DesignSpec(n=20, k=3), rho)
+            bf01_minimal_rm(f_stat, DESIGN_23_2, prior_h0=prior)
 
 
 class TestChooseModel:
@@ -326,13 +315,6 @@ class TestEvidenceResultInvariants:
 
     def test_posterior_matches_explicit_update(self):
         result = bf01_minimal_rm(1.336, DESIGN_23_2, prior_h0=0.25)
-        expected, _ = posterior_probs(result.bf01, 0.25)
+        weighted = result.bf01 * 0.25
+        expected = weighted / (weighted + 0.75)
         assert result.posterior_h0 == pytest.approx(expected, rel=1e-12)
-
-    def test_to_dict_round_trip_fields(self):
-        payload = bf01_minimal_rm(1.336, DESIGN_23_2).to_dict()
-        assert payload["method"] == "minimal_rm"
-        assert set(payload) == {
-            "method", "log_bf01", "bf01", "bf10", "delta_bic10",
-            "posterior_h0", "posterior_h1", "prior_h0", "saturated",
-        }

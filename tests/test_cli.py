@@ -1,6 +1,7 @@
 """Black-box CLI tests: worked examples, JSON schema validity, exit codes,
 file outputs and determinism."""
 
+import csv
 import json
 import time
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from rmbayes import SimulationConfig, run_cell
+from rmbayes.bayes import _saturating_exp
 from rmbayes.cli import main
 
 from conftest import assert_schema_valid, build_two_condition_matrix
@@ -53,6 +56,15 @@ class TestBf:
         assert payload["manifest"]["command"] == "bf"
         assert payload["evidence"]["bf01"] == pytest.approx(2.435, abs=0.001)
         assert payload["evidence"]["method"] == "minimal_rm"
+
+    def test_json_evidence_fields(self, runner):
+        result = invoke(runner, ["bf", "--f", "1.336", "--n", "23", "--k", "2", "--json"])
+        evidence = json.loads(result.output)["evidence"]
+        assert evidence["method"] == "minimal_rm"
+        assert set(evidence) == {
+            "method", "log_bf01", "bf01", "bf10", "delta_bic10",
+            "posterior_h0", "posterior_h1", "prior_h0", "saturated",
+        }
 
     def test_zero_f_closed_form(self, runner):
         result = invoke(runner, ["bf", "--f", "0", "--n", "23", "--k", "2", "--json"])
@@ -246,6 +258,41 @@ class TestSimulate:
                             "posterior_min,posterior_nm,choice_min,choice_nm")
         assert len(lines) == 1 + 18 * 10
 
+    def test_per_rep_rows_match_series(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--n", "20", "--rho", "0.8", "--delta", "0.2",
+                        "--reps", "120", "--seed", "42", "--emit-per-rep",
+                        "--out-dir", str(tmp_path)])
+        config = SimulationConfig(n=20, rho=0.8, delta=0.2, reps=120, master_seed=42)
+        series = run_cell(config).series
+        with open(tmp_path / "per_rep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == config.reps
+        assert {row["choice_min"] for row in rows} == {"H0", "H1"}
+        for rep, row in enumerate(rows):
+            assert row["cell_id"] == config.cell_id
+            assert int(row["rep"]) == rep
+            assert float(row["f_stat"]) == series.f_stat[rep]
+            for method in ("min", "nm"):
+                log_bf01 = float(getattr(series, f"log_bf01_{method}")[rep])
+                bf01 = float(row[f"bf01_{method}"])
+                # math.exp, as the file is written, not np.exp: they may differ by an ulp
+                assert bf01 == _saturating_exp(log_bf01)[0]
+                assert float(row[f"posterior_{method}"]) == \
+                    getattr(series, f"posterior_{method}")[rep]
+                choice = row[f"choice_{method}"]
+                assert choice == ("H0" if log_bf01 >= 0 else "H1")
+                assert (bf01 >= 1.0) == (choice == "H0")
+
+    def test_grid_report_shape(self, runner, tmp_path):
+        invoke(runner, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0",
+                        "--reps", "2", "--seed", "3", "--emit-per-rep",
+                        "--out-dir", str(tmp_path)])
+        payload = json.loads((tmp_path / "grid_report.json").read_text())
+        assert set(payload) == {"manifest", "grid", "cells"}
+        assert payload["grid"]["reps"] == 2
+        assert "per_rep_records" not in payload["cells"][0]
+        assert len((tmp_path / "per_rep.csv").read_text().splitlines()) == 1 + 2
+
     def test_out_dir_env_override(self, runner, tmp_path):
         target = tmp_path / "from_env"
         result = runner.invoke(main, ["simulate", "--reps", "5", "--seed", "1"],
@@ -261,6 +308,10 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--n", "", "--reps", "2",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["simulate", "--workers", "0", "--reps", "2",
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "workers must be an integer >= 1" in result.stderr
 
     def test_io_failure_exit_3(self, runner, tmp_path):
         blocker = tmp_path / "blocker"

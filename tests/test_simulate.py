@@ -104,7 +104,7 @@ class TestSubstreams:
         # literal values, so a change of seeding fails here even where numpy
         # itself drifts along with it
         config = SimulationConfig(n=20, rho=0.2, delta=0.5, master_seed=12345)
-        f_stat = run_cell(config, keep_records=True).series.f_stat
+        f_stat = run_cell(config).series.f_stat
         assert [repr(f) for f in f_stat[:3].tolist()] == [
             "1.6451131768306844", "1.4265509481314473", "1.1644357678890496"]
 
@@ -133,6 +133,8 @@ class TestConfigValidation:
         {"delta": -0.2}, {"delta": float("inf")}, {"reps": 0},
         {"master_seed": -1}, {"master_seed": 2 ** 64}, {"spacing": "random"},
         {"grand_mean": float("nan")}, {"reps": True}, {"n": 20.0},
+        {"rho": "0.2"}, {"rho": False}, {"delta": None}, {"delta": True},
+        {"grand_mean": "1"},
     ])
     def test_rejected(self, kwargs):
         base = {"n": 20, "rho": 0.2, "delta": 0.0}
@@ -150,6 +152,14 @@ class TestConfigValidation:
         assert all(type(v) is int for v in (config.n, config.k, config.reps,
                                             config.master_seed))
         assert run_cell(config) == run_cell(config_for(n=20, k=3, reps=4, master_seed=7))
+
+    def test_numpy_reals_accepted(self):
+        config = config_for(rho=np.float64(0.2), delta=np.float32(0.5),
+                            grand_mean=np.float16(1.5), reps=4)
+        assert config == config_for(rho=0.2, delta=0.5, grand_mean=1.5, reps=4)
+        assert all(type(v) is float for v in (config.rho, config.delta, config.grand_mean))
+        assert run_cell(config) == run_cell(config_for(rho=0.2, delta=0.5, grand_mean=1.5,
+                                                       reps=4))
 
 
 class TestMakeProfile:
@@ -246,27 +256,21 @@ class TestRunCell:
 
     def test_records_consistent_with_aggregates(self):
         config = config_for(n=20, rho=0.8, delta=0.2, reps=120, master_seed=42)
-        result = run_cell(config, keep_records=True)
-        records = result.per_rep_records
-        assert len(records) == 120
-        assert [r.rep for r in records] == list(range(120))
-        agreement = np.mean([r.choice_min == r.choice_nm for r in records])
-        assert result.consistency == pytest.approx(float(agreement))
+        result = run_cell(config)
+        series = result.series
+        assert all(len(getattr(series, field.name)) == 120 for field in fields(series))
+        h0_min = series.log_bf01_min >= 0
+        h0_nm = series.log_bf01_nm >= 0
+        assert result.consistency == pytest.approx(float(np.mean(h0_min == h0_nm)))
         # correct model is H1 here (delta > 0)
-        accuracy = np.mean([r.choice_min is ModelChoice.H1 for r in records])
-        assert result.accuracy_min == pytest.approx(float(accuracy))
-        for record in records:
-            assert (record.bf01_min >= 1.0) == (record.choice_min is ModelChoice.H0)
-            assert 0.0 <= record.posterior_min <= 1.0
+        assert result.accuracy_min == pytest.approx(float(np.mean(~h0_min)))
+        assert ((0.0 <= series.posterior_min) & (series.posterior_min <= 1.0)).all()
 
     def test_null_cell_mostly_chooses_h0(self):
         result = run_cell(config_for(n=20, rho=0.2, delta=0.0, reps=200, master_seed=1))
         assert result.accuracy_min >= 0.9
         assert result.accuracy_nm >= 0.9
         assert result.posterior_correlation >= 0.95
-
-    def test_records_disabled_by_default(self):
-        assert run_cell(config_for(reps=3)).per_rep_records is None
 
     def test_cell_errors_carry_cell_identity(self):
         # with rho one ulp below 1 the noise SD is ~1e-8, so the residual
@@ -285,20 +289,22 @@ class TestBatchedCore:
     ])
     def test_matches_scalar_chain(self, kwargs):
         config = SimulationConfig(reps=60, master_seed=31, **kwargs)
-        records = run_cell(config, keep_records=True).per_rep_records
+        series = run_cell(config).series
+        choice = {True: ModelChoice.H0, False: ModelChoice.H1}
         reference = scalar_chain(config, range(config.reps))
-        for record, (f_stat, ev_min, ev_nm) in zip(records, reference, strict=True):
-            assert record.choice_min is choose_model(ev_min)
-            assert record.choice_nm is choose_model(ev_nm)
-            assert record.f_stat == pytest.approx(f_stat, rel=1e-12)
-            assert record.posterior_min == pytest.approx(ev_min.posterior_h0, rel=1e-12)
-            assert record.posterior_nm == pytest.approx(ev_nm.posterior_h0, rel=1e-12)
+        for rep, (f_stat, ev_min, ev_nm) in enumerate(reference):
+            assert choice[bool(series.log_bf01_min[rep] >= 0)] is choose_model(ev_min)
+            assert choice[bool(series.log_bf01_nm[rep] >= 0)] is choose_model(ev_nm)
+            assert series.f_stat[rep] == pytest.approx(f_stat, rel=1e-12)
+            assert series.posterior_min[rep] == pytest.approx(ev_min.posterior_h0, rel=1e-12)
+            assert series.posterior_nm[rep] == pytest.approx(ev_nm.posterior_h0, rel=1e-12)
+        assert len(series.f_stat) == config.reps
 
     def test_block_boundary_changes_nothing(self):
         config = config_for(n=20, rho=0.2, delta=0.5)
         block = sim._BLOCK_VALUES // (config.n * config.k)
-        below = run_cell(replace(config, reps=block - 1), keep_records=True).series
-        above = run_cell(replace(config, reps=block + 1), keep_records=True).series
+        below = run_cell(replace(config, reps=block - 1)).series
+        above = run_cell(replace(config, reps=block + 1)).series
         for field in fields(below):
             assert np.array_equal(getattr(above, field.name)[:block - 1],
                                   getattr(below, field.name))
@@ -310,12 +316,12 @@ class TestBatchedCore:
 class TestRunGrid:
     def test_same_seed_reproduces_report(self):
         kwargs = dict(n_values=(20,), rho_values=(0.2, 0.8), delta_values=(0.0, 0.5),
-                      reps=30, master_seed=99, keep_records=True)
+                      reps=30, master_seed=99)
         assert run_grid(**kwargs) == run_grid(**kwargs)
 
     def test_parallel_matches_sequential(self):
         kwargs = dict(n_values=(20, 50), rho_values=(0.2,), delta_values=(0.0, 0.5),
-                      reps=40, master_seed=7, keep_records=True)
+                      reps=40, master_seed=7)
         assert run_grid(workers=2, **kwargs) == run_grid(workers=1, **kwargs)
 
     def test_canonical_cell_order_and_shape(self):
@@ -333,11 +339,35 @@ class TestRunGrid:
         with pytest.raises(DomainError):
             run_grid((20,), (1.5,), (0.0,))
 
-    def test_to_dict_shape(self):
-        report = run_grid((20,), (0.2,), (0.0,), reps=2, master_seed=3, keep_records=True)
-        payload = report.to_dict()
-        assert set(payload) == {"grid", "cells"}
-        assert payload["grid"]["reps"] == 2
-        assert "per_rep_records" not in payload["cells"][0]
-        with_records = report.to_dict(include_records=True)
-        assert len(with_records["cells"][0]["per_rep_records"]) == 2
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
+    def test_invalid_workers_rejected(self, workers):
+        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+            run_grid((20,), (0.2,), (0.0,), reps=2, workers=workers)
+
+    @pytest.mark.parametrize("workers,n_values,pool_size", [
+        (64, (20, 30), 2), (np.int64(3), (20, 30, 40, 50), 3), (2, (20,), None),
+        (1, (20, 30), None)])
+    def test_pool_capped_at_cell_count(self, monkeypatch, workers, n_values, pool_size):
+        # a fake pool that records its size and maps in this process, so no
+        # worker process is started
+        sizes = []
+
+        class SequentialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SequentialPool)
+        kwargs = dict(n_values=n_values, rho_values=(0.2,), delta_values=(0.5,), reps=3,
+                      master_seed=5)
+        report = run_grid(workers=workers, **kwargs)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert report == run_grid(workers=1, **kwargs)
