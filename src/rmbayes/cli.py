@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -170,7 +171,12 @@ def _read_wide_csv(path: str) -> np.ndarray:
     """Wide-format CSV: header row, one row per subject, k numeric columns.
     Content problems raise DomainError; OSError propagates to the caller."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+        try:
+            rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError as exc:
+            # exc.object is the chunk being decoded; it ends where the buffer stands
+            offset = handle.buffer.tell() - len(exc.object) + exc.start
+            raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
     if len(rows) < 3:
         raise DomainError("CSV needs a header row and at least 2 subject rows")
     width = len(rows[0])
@@ -425,6 +431,43 @@ def _describe_stat(stat) -> str:
     return f"F({stat.df1:g}, {stat.df2:g}) {relation} {stat.f_value:g}"
 
 
+def _json_float(value: float) -> str:
+    """``value`` as ``json`` writes a float."""
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# The report-v1 ``reports`` entry of ``parse --json``, keys in sorted order
+_REPORT_KEYS = ("design", "df1", "df2", "error", "evidence", "f_is_upper_bound", "f_value",
+                "p_is_upper_bound", "p_reported", "span")
+_EVIDENCE_KEYS = ("bf01", "bf10", "delta_bic10", "log_bf01", "method", "posterior_h0",
+                  "posterior_h1", "prior_h0", "saturated")
+_REPORT_ENTRY = "    {\n" + ",\n".join(f'      "{k}": %s' for k in _REPORT_KEYS) + "\n    }"
+_REPORT_EVIDENCE = "{\n" + ",\n".join(f'        "{k}": %s' for k in _EVIDENCE_KEYS) + "\n      }"
+_REPORT_DESIGN = '{\n        "k": %d,\n        "n": %d\n      }'
+_REPORT_SPAN = "[\n        %d,\n        %d\n      ]"
+_JSON_BOOL = {False: "false", True: "true"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_REPORT_BATCH = 1000  # entries per write: bounded memory, few flushes
+
+
+def _report_entry_json(stat, design, evidence, error) -> str:
+    """One ``reports`` entry, ``vars(stat)`` plus the design, evidence and error,
+    in the bytes ``json.dumps(indent=2, sort_keys=True)`` of the report has."""
+    f = _json_float
+    evidence_json = "null" if evidence is None else _REPORT_EVIDENCE % (
+        f(evidence.bf01), f(evidence.bf10), f(evidence.delta_bic10), f(evidence.log_bf01),
+        encode_basestring_ascii(evidence.method), f(evidence.posterior_h0),
+        f(evidence.posterior_h1), f(evidence.prior_h0), _JSON_BOOL[evidence.saturated])
+    return _REPORT_ENTRY % (
+        "null" if design is None else _REPORT_DESIGN % (design.k, design.n),
+        f(stat.df1), f(stat.df2),
+        "null" if error is None else encode_basestring_ascii(error),
+        evidence_json, _JSON_BOOL[stat.f_is_upper_bound], f(stat.f_value),
+        _JSON_BOOL[stat.p_is_upper_bound],
+        "null" if stat.p_reported is None else f(stat.p_reported), _REPORT_SPAN % stat.span)
+
+
 @main.command("parse")
 @click.argument("text_path", required=False, type=click.Path(dir_okay=False, allow_dash=True))
 @click.option("--assume-rm/--no-assume-rm", default=True, show_default=True,
@@ -446,42 +489,47 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
                 text = handle.read()
     except OSError as exc:
         _io_exit(str(exc))
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole input at once, so exc.start is its byte offset
+        _validation_exit(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} ({exc.reason})")
     stats = parse_reports(text)
 
-    entries = []
+    evaluated = []
     for stat in stats:
-        entry = {**vars(stat), "design": None, "evidence": None, "error": None}
+        design = evidence = error = None
         if assume_rm:
             try:
                 design = infer_rm_design(stat)
-                result = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
-                entry["design"] = {"n": design.n, "k": design.k}
-                entry["evidence"] = vars(result)
+                evidence = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
             except DomainError as exc:
-                entry["error"] = str(exc)
-        entries.append((stat, entry))
+                design, error = None, str(exc)
+        evaluated.append((stat, design, evidence, error))
 
     manifest = _manifest("parse", {
         "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
     })
     if as_json:
-        _echo_json({"manifest": manifest, "reports": [entry for _, entry in entries]})
+        head = json.dumps({"manifest": manifest, "reports": []}, indent=2, sort_keys=True)
+        lead = head[:-len("[]\n}")] + "[\n"  # "reports" is the last key
+        for start in range(0, len(evaluated), _REPORT_BATCH):
+            batch = evaluated[start:start + _REPORT_BATCH]
+            click.echo(lead + ",\n".join(_report_entry_json(*row) for row in batch), nl=False)
+            lead = ",\n"
+        click.echo("\n  ]\n}" if evaluated else head)
         return
-    if not entries:
+    if not evaluated:
         click.echo("no F reports found")
         return
-    for stat, entry in entries:
+    for stat, design, evidence, error in evaluated:
         left = _describe_stat(stat)
-        if entry["evidence"] is not None:
-            design = entry["design"]
-            evidence = entry["evidence"]
+        if evidence is not None:
             bound = ">=" if stat.f_is_upper_bound else "="
             note = "  (lower bound: F reported as an upper bound)" if stat.f_is_upper_bound else ""
-            click.echo(f"{left:<28} n={design['n']}  k={design['k']}  "
-                       f"BF01 {bound} {_fmt(evidence['bf01'])}  "
-                       f"p(H0|y) = {_fmt(evidence['posterior_h0'])}{note}")
-        elif entry["error"] is not None:
-            click.echo(f"{left:<28} not inferable: {entry['error']}")
+            click.echo(f"{left:<28} n={design.n}  k={design.k}  "
+                       f"BF01 {bound} {_fmt(evidence.bf01)}  "
+                       f"p(H0|y) = {_fmt(evidence.posterior_h0)}{note}")
+        elif error is not None:
+            click.echo(f"{left:<28} not inferable: {error}")
         else:
             click.echo(left)
 

@@ -415,7 +415,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
     sy = math.sqrt(float(yd @ yd))
     if sx == 0.0 or sy == 0.0:
         return None
-    return float((xd @ yd) / (sx * sy))
+    return max(-1.0, min(1.0, float((xd @ yd) / (sx * sy))))
 
 
 def run_cell(config: SimulationConfig) -> CellResult:

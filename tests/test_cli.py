@@ -4,14 +4,18 @@ file outputs and determinism."""
 import csv
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from rmbayes import SimulationConfig, run_cell
-from rmbayes.bayes import _saturating_exp
-from rmbayes.cli import main
+from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
+from rmbayes.bayes import EvidenceResult, _saturating_exp, bf01_minimal_rm
+from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
+from rmbayes.errors import DomainError
 
 from conftest import assert_schema_valid, build_two_condition_matrix
 
@@ -39,6 +43,57 @@ def json_without_timestamp(text):
     # runs under comparison write to distinct directories by construction
     payload["manifest"]["params"].pop("out_dir", None)
     return payload
+
+
+def reference_parse_json(text, manifest, assume_rm=True, prior_h0=0.5):
+    """``parse --json`` as one ``json.dumps`` of the whole report: the
+    reference the streamed report-v1 writer must match byte for byte."""
+    entries = []
+    for stat in parse_reports(text):
+        entry = {**vars(stat), "design": None, "evidence": None, "error": None}
+        if assume_rm:
+            try:
+                design = infer_rm_design(stat)
+                result = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
+                entry["design"] = {"n": design.n, "k": design.k}
+                entry["evidence"] = vars(result)
+            except DomainError as exc:
+                entry["error"] = str(exc)
+        entries.append(entry)
+    return json.dumps({"manifest": manifest, "reports": entries}, indent=2, sort_keys=True) + "\n"
+
+
+def assert_parse_json_matches_reference(runner, text, options=()):
+    result = runner.invoke(main, ["parse", "--json", *options], input=text,
+                           catch_exceptions=False)
+    assert result.exit_code == 0
+    # the manifest, timestamp included, is taken from the output itself
+    manifest = json.loads(result.stdout)["manifest"]
+    params = manifest["params"]
+    assert result.stdout == reference_parse_json(text, manifest, params["assume_rm"],
+                                                 params["prior_h0"])
+
+
+_REPORT_NUMBER = st.one_of(
+    st.integers(min_value=0, max_value=10 ** 6).map(str),
+    st.floats(min_value=0, max_value=1e6).map(lambda value: f"{value:.3f}"),
+    st.sampled_from(["1e400", "1.3e2", ".5", "2.", "1E-3", "1e5", "100000", "0"]),
+)
+_RELATION = st.sampled_from(["=", "<"])
+# the dfs of a one-factor repeated-measures design, which invert into (n, k)
+_RM_DFS = st.builds(lambda n, k: (k - 1, (n - 1) * (k - 1)),
+                    st.integers(min_value=2, max_value=200), st.integers(min_value=2, max_value=6))
+_P_VALUE = st.floats(min_value=0, max_value=1).map("{:.3f}".format)
+_REPORT = st.builds(  # F(df1, df2) relation F, then an optional p clause
+    "F({0[0]}, {0[1]}) {1} {2}{3}".format,
+    st.one_of(_RM_DFS, st.tuples(_REPORT_NUMBER, _REPORT_NUMBER)), _RELATION, _REPORT_NUMBER,
+    st.one_of(st.just(""), st.builds(", p {} {}".format, _RELATION,
+                                     st.one_of(_P_VALUE, _REPORT_NUMBER))))
+# no carriage return: the test runner's stdin would translate it and move the spans
+_FILLER = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+                  max_size=8)
+_REPORT_TEXT = st.lists(st.tuples(_FILLER, _REPORT), max_size=6).map(
+    lambda parts: " ".join(filler + report for filler, report in parts))
 
 
 class TestBf:
@@ -205,6 +260,16 @@ class TestAnova:
         result = runner.invoke(main, ["anova", str(tmp_path / "absent.csv")])
         assert result.exit_code == 3
 
+    def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path):
+        # past the first 8 KiB, so the error comes from a later decoded chunk
+        head = b"a,b\n" + b"1.25,2.5\n" * 2000
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"3,\xff\n")
+        result = runner.invoke(main, ["anova", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert f"byte {len(head) + 2} " in result.stderr
+
 
 class TestSimulate:
     def run_smoke(self, runner, out_dir, extra=()):
@@ -293,6 +358,14 @@ class TestSimulate:
         assert "per_rep_records" not in payload["cells"][0]
         assert len((tmp_path / "per_rep.csv").read_text().splitlines()) == 1 + 2
 
+    def test_two_rep_correlation_stays_in_schema(self, runner, tmp_path):
+        # two replications correlate at exactly +-1; rounding once wrote -1.0000000000000002
+        invoke(runner, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0", "--reps", "2",
+                        "--seed", "3", "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "grid_report.json").read_text())
+        assert_schema_valid(report)
+        assert report["cells"][0]["posterior_correlation"] == -1.0
+
     def test_out_dir_env_override(self, runner, tmp_path):
         target = tmp_path / "from_env"
         result = runner.invoke(main, ["simulate", "--reps", "5", "--seed", "1"],
@@ -337,12 +410,27 @@ class TestParse:
         assert "BF01 = 2.435" in result.output
 
     def test_stdin_and_uninferable_listing(self, runner):
-        text = "F(1, 22) = 1.336 and F(2, 39) = 3.1"
-        result = invoke(runner, ["parse"], input=text)
-        assert result.exit_code == 0
-        assert "BF01 = 2.435" in result.output
-        assert "not inferable" in result.output
-        assert "divisible" in result.output
+        # exact bytes: the text report does not move with the JSON writer
+        for text, expected in [
+            ("F(1, 22) = 1.336 and F(2, 39) = 3.1",
+             "F(1, 22) = 1.336             n=23  k=2  BF01 = 2.435  p(H0|y) = 0.709\n"
+             "F(2, 39) = 3.1               not inferable: df2=39 is not divisible by df1=2\n"),
+            ("F(1, 22) = 1.336, p = .26 and F(2, 39) = 3.1 and F(1.46, 32.1) = 5.02 and "
+             "F(2,38)<1",
+             "F(1, 22) = 1.336             n=23  k=2  BF01 = 2.435  p(H0|y) = 0.709\n"
+             "F(2, 39) = 3.1               not inferable: df2=39 is not divisible by df1=2\n"
+             "F(1.46, 32.1) = 5.02         not inferable: decimal degrees of freedom "
+             "(1.46, 32.1) suggest a sphericity correction; the uncorrected integer dfs "
+             "are required\n"
+             "F(2, 38) < 1                 n=20  k=3  BF01 >= 14.339  p(H0|y) = 0.935  "
+             "(lower bound: F reported as an upper bound)\n"),
+        ]:
+            result = invoke(runner, ["parse"], input=text)
+            assert result.exit_code == 0
+            assert "BF01 = 2.435" in result.output
+            assert "not inferable" in result.output
+            assert "divisible" in result.output
+            assert result.output == expected
 
     def test_upper_bound_report_is_lower_bound_on_bf(self, runner):
         result = invoke(runner, ["parse"], input="F(2,38)<1")
@@ -383,3 +471,50 @@ class TestParse:
     def test_missing_file_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["parse", str(tmp_path / "absent.txt")])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path, from_stdin):
+        raw = "F(1, 22) = 1.336, p = .26 – ".encode("utf-8") + b"\xff F(2, 38) = 3.1"
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(raw)
+        if from_stdin:
+            result = runner.invoke(main, ["parse", "--json"], input=raw)
+        else:
+            result = runner.invoke(main, ["parse", "--json", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        name = "-" if from_stdin else str(path)
+        offset = raw.index(b"\xff")
+        assert result.stderr == (f"error: {name}: not valid UTF-8 at byte {offset} "
+                                 "(invalid start byte)\n")
+
+    @pytest.mark.parametrize("text, options", [
+        pytest.param("", (), id="no-reports"),
+        pytest.param("no reports here, only t(38) = 2.1 and F = 3.20", (), id="distractors"),
+        pytest.param("F(1, 22) = 1.336, p = .26 and F(2, 39) = 3.1 and F(1.46, 32.1) = 5.02",
+                     ("--no-assume-rm",), id="no-assume-rm"),
+        pytest.param("F(1, 22) = 1.336, p = .26 and F(2, 38) = 0.4, p < .001",
+                     ("--prior-h0", "0.25"), id="prior-0.25"),
+        pytest.param("F(1, 22) = 1e400, p < .001", (), id="infinite-f"),
+        pytest.param("F(1, 100000) = 1e5", (), id="saturated-bf"),
+        pytest.param("F(2, 38) < 1 and F(2,38)<1, p < .5", (), id="f-bounds"),
+        pytest.param("F(1, 22) = 1.336 and F(1, 22) = 1.336, p = 1.5", (), id="p-missing-or-out"),
+        pytest.param("F(1.46, 32.1) = 5.02, p = .03 and F(2, 39) = 3.1", (),
+                     id="decimal-and-non-divisible-dfs"),
+        pytest.param("F(1, 22) = 1.336, p = .26 and F(2, 39) = 3.1; " * 1001, (),
+                     id="more-than-one-write-batch"),
+    ])
+    def test_json_bytes_match_reference_edge_cases(self, runner, text, options):
+        assert_parse_json_matches_reference(runner, text, options)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_REPORT_TEXT, options=st.sampled_from([
+        (), ("--no-assume-rm",), ("--prior-h0", "0.25")]))
+    def test_json_bytes_match_reference(self, text, options):
+        assert_parse_json_matches_reference(CliRunner(), text, options)
+
+    def test_json_writer_keys_track_the_dataclasses(self):
+        """A new result field fails here instead of silently missing from the JSON."""
+        stat_keys = [field.name for field in fields(ReportedStat)]
+        assert _REPORT_KEYS == tuple(sorted(stat_keys + ["design", "evidence", "error"]))
+        assert _EVIDENCE_KEYS == tuple(sorted(field.name for field in fields(EvidenceResult)))
