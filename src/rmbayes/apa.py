@@ -2,7 +2,8 @@
 
 Recognizes the usual reporting shape ``F(df1, df2) = value`` (also ``<`` for
 bounds), optionally followed by a p clause, e.g. ``F(1, 22) = 1.336, p = .26``.
-Numbers may carry a decimal exponent, as in ``F(1, 22) = 1.3e2, p < 1e-3``.
+Numbers may carry a decimal exponent, as in ``F(1, 22) = 1.3e2, p < 1e-3``;
+its sign may also be U+2212, the minus sign of typeset text.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ _F_REPORT = re.compile(
     rf"[Ff]\s*\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
     rf"(?:\s*,\s*[pP]\s*([=<])\s*({_NUMBER}))?"
 )
+# after the value that ends a match: an exponent or decimal comma the pattern left unread
+_HALF_READ = re.compile(r"[eE]\S?\d|,\d")
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,16 @@ def parse_reports(text: str) -> list[ReportedStat]:
     """All non-overlapping F reports in ``text``, in order of appearance.
 
     Never raises on content: text without a recognizable report yields an
-    empty list, and matches with degrees of freedom below 1 are dropped.
+    empty list, and matches with degrees of freedom below 1 are dropped, as
+    are matches that end inside a number, e.g. ``F(1, 22) = 4,3``.
     A p value outside [0, 1] is recorded as absent.
     """
+    # U+2212 and "-" are one character each, so spans still index ``text``
+    text = text.replace("\u2212", "-")
     reports = []
     for match in _F_REPORT.finditer(text):
+        if _HALF_READ.match(text, match.end()):
+            continue
         df1 = float(match.group(1))
         df2 = float(match.group(2))
         if df1 < 1.0 or df2 < 1.0:

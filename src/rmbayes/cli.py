@@ -23,8 +23,10 @@ from . import __version__
 from .anova import DesignSpec, rm_anova
 from .apa import parse_reports, infer_rm_design
 from .bayes import (
+    Method,
     ModelChoice,
     SummaryStats,
+    _check_prior,
     _chooses_h0,
     _saturating_exp,
     bf01_minimal_rm,
@@ -40,7 +42,8 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
+def _report_json(command: str, params: dict, payload: dict, seed: int | None = None) -> str:
+    """A report-v1 document: the command's manifest plus ``payload``."""
     manifest = {
         "command": command,
         "artifact_version": __version__,
@@ -50,11 +53,13 @@ def _manifest(command: str, params: dict, seed: int | None = None) -> dict:
     }
     if seed is not None:
         manifest["seed"] = seed
-    return manifest
+    return json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True)
 
 
-def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+def _report(command: str, params: dict, as_json: bool, payload: dict,
+            lines: list[str]) -> None:
+    """Echo the report-v1 document of ``payload``, or else the text ``lines``."""
+    click.echo(_report_json(command, params, payload) if as_json else "\n".join(lines))
 
 
 def _validation_exit(message: str) -> None:
@@ -88,9 +93,15 @@ class UInt64(click.ParamType):
 UINT64 = UInt64()
 
 
-def _render_evidence(result, label: str) -> list[str]:
+_METHOD_LABELS = {
+    Method.MINIMAL_RM: "minimal BIC (repeated measures)",
+    Method.NATHOO_MASSON: "Nathoo-Masson (sums of squares)",
+}
+
+
+def _render_evidence(result) -> list[str]:
     return [
-        f"method      : {label}",
+        f"method      : {_METHOD_LABELS[result.method]}",
         f"BF01        : {_fmt(result.bf01)}",
         f"BF10        : {_fmt(result.bf10)}",
         f"dBIC10      : {_fmt(result.delta_bic10)}",
@@ -123,15 +134,11 @@ def cmd_bf(f_stat: float, n_subjects: int, k_conditions: int, prior_h0: float,
         result = bf01_minimal_rm(f_stat, design, prior_h0=prior_h0)
     except DomainError as exc:
         _validation_exit(str(exc))
-    manifest = _manifest("bf", {
+    _report("bf", {
         "f": f_stat, "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
-    })
-    if as_json:
-        _echo_json({"manifest": manifest, "evidence": vars(result)})
-        return
-    click.echo(f"F = {f_stat:g}, n = {n_subjects}, k = {k_conditions}")
-    for line in _render_evidence(result, "minimal BIC (repeated measures)"):
-        click.echo(line)
+    }, as_json, {"evidence": vars(result)}, [
+        f"F = {f_stat:g}, n = {n_subjects}, k = {k_conditions}", *_render_evidence(result),
+    ])
 
 
 @main.command("bf-ss")
@@ -153,18 +160,14 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions:
         result = delta_bic_nathoo(stats, prior_h0=prior_h0)
     except DomainError as exc:
         _validation_exit(str(exc))
-    manifest = _manifest("bf-ss", {
+    lines = [f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n_subjects}, k = {k_conditions}",
+             *_render_evidence(result)]
+    if ssa == 0:
+        lines.append("note: the treatment sum of squares is 0; the treatment explains nothing")
+    _report("bf-ss", {
         "sst": sst, "ssa": ssa, "ssb": ssb,
         "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
-    })
-    if as_json:
-        _echo_json({"manifest": manifest, "evidence": vars(result)})
-        return
-    click.echo(f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n_subjects}, k = {k_conditions}")
-    for line in _render_evidence(result, "Nathoo-Masson (sums of squares)"):
-        click.echo(line)
-    if ssa == 0:
-        click.echo("note: the treatment sum of squares is 0; the treatment explains nothing")
+    }, as_json, {"evidence": vars(result)}, lines)
 
 
 def _read_wide_csv(path: str) -> np.ndarray:
@@ -229,40 +232,28 @@ def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
         table = rm_anova(data)
         n, k = data.shape
         design = DesignSpec(n=int(n), k=int(k))
-        evidence = None
+        evidence = []
         if with_bf:
-            evidence = {
-                "minimal_rm": bf01_minimal_rm(table.f_stat, design),
-                "nathoo_masson": delta_bic_nathoo(SummaryStats(
+            evidence = [
+                bf01_minimal_rm(table.f_stat, design),
+                delta_bic_nathoo(SummaryStats(
                     ss_treatment=table.ss_treatment,
                     ss_subjects=table.ss_subjects,
                     ss_total=table.ss_total,
                     design=design,
                 )),
-            }
+            ]
     except DomainError as exc:
         _validation_exit(str(exc))
-    manifest = _manifest("anova", {"csv_path": csv_path, "bf": with_bf})
-    if as_json:
-        _echo_json({
-            "manifest": manifest,
-            "design": {"n": design.n, "k": design.k},
-            "anova": vars(table),
-            "evidence": None if evidence is None else {
-                key: vars(value) for key, value in evidence.items()
-            },
-        })
-        return
-    click.echo(f"n = {design.n} subjects, k = {design.k} conditions")
-    for line in _render_anova_table(table):
-        click.echo(line)
-    if evidence is not None:
-        click.echo("")
-        for line in _render_evidence(evidence["minimal_rm"], "minimal BIC (repeated measures)"):
-            click.echo(line)
-        click.echo("")
-        for line in _render_evidence(evidence["nathoo_masson"], "Nathoo-Masson (sums of squares)"):
-            click.echo(line)
+    lines = [f"n = {design.n} subjects, k = {design.k} conditions", *_render_anova_table(table)]
+    for result in evidence:
+        lines += ["", *_render_evidence(result)]
+    _report("anova", {"csv_path": csv_path, "bf": with_bf}, as_json, {
+        "design": {"n": design.n, "k": design.k},
+        "anova": vars(table),
+        "evidence": ({result.method.value: vars(result) for result in evidence}
+                     if with_bf else None),
+    }, lines)
 
 
 def _parse_number_list(raw: str, cast, label: str) -> tuple:
@@ -301,7 +292,7 @@ def _grid_json(report: GridReport) -> dict:
     return {"grid": grid, "cells": cells}
 
 
-def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
+def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: int,
                         emit_per_rep: bool) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -310,31 +301,24 @@ def _write_grid_outputs(report: GridReport, out_dir: str, manifest: dict,
         written.append(name)
         return os.path.join(out_dir, name)
 
+    grid = _grid_json(report)
     with open(target("grid_report.json"), "w", encoding="utf-8") as handle:
-        json.dump({"manifest": manifest, **_grid_json(report)}, handle,
-                  indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(_report_json("simulate", params, grid, seed=seed) + "\n")
 
+    # each summary table lists, per record, the values of its columns; csv writes None as ""
     key = ["delta", "rho", "n"]
-    _write_csv(target("table2.csv"), key + ["accuracy_min", "accuracy_nm"],
-               [[c.config.delta, c.config.rho, c.config.n, c.accuracy_min, c.accuracy_nm]
-                for c in report.cells])
-    _write_csv(target("table3.csv"), key + ["consistency"],
-               [[c.config.delta, c.config.rho, c.config.n, c.consistency]
-                for c in report.cells])
-    _write_csv(target("table4.csv"), key + ["posterior_correlation"],
-               [[c.config.delta, c.config.rho, c.config.n,
-                 "" if c.posterior_correlation is None else c.posterior_correlation]
-                for c in report.cells])
-
-    boxplot_rows = []
-    for cell in report.cells:
-        for method, q in (("minimal_rm", cell.posterior_quantiles_min),
-                          ("nathoo_masson", cell.posterior_quantiles_nm)):
-            boxplot_rows.append([cell.config.delta, cell.config.rho, cell.config.n, method,
-                                 q.minimum, q.q1, q.median, q.q3, q.maximum])
-    _write_csv(target("boxplot_data.csv"),
-               key + ["method", "min", "q1", "median", "q3", "max"], boxplot_rows)
+    cells = grid["cells"]
+    boxplot_records = [{**cell, "method": method, **cell[f"posterior_quantiles_{suffix}"]}
+                       for cell in cells
+                       for method, suffix in (("minimal_rm", "min"), ("nathoo_masson", "nm"))]
+    for name, columns, records in (
+            ("table2.csv", ["accuracy_min", "accuracy_nm"], cells),
+            ("table3.csv", ["consistency"], cells),
+            ("table4.csv", ["posterior_correlation"], cells),
+            ("boxplot_data.csv", ["method", "min", "q1", "median", "q3", "max"], boxplot_records)):
+        header = key + columns
+        _write_csv(target(name), header, [[record[column] for column in header]
+                                          for record in records])
 
     scatter_rows = []
     for cell in report.cells:
@@ -404,14 +388,14 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
                           master_seed=seed, spacing=spacing, workers=workers)
     except DomainError as exc:
         _validation_exit(str(exc))
-    manifest = _manifest("simulate", {
+    params = {
         "n_values": list(n_values), "rho_values": list(rho_values),
         "delta_values": list(delta_values), "k": k, "reps": reps,
         "spacing": spacing, "out_dir": out_dir, "emit_per_rep": emit_per_rep,
         "workers": workers,
-    }, seed=seed)
+    }
     try:
-        written = _write_grid_outputs(report, out_dir, manifest, emit_per_rep)
+        written = _write_grid_outputs(report, out_dir, params, seed, emit_per_rep)
     except OSError as exc:
         _io_exit(str(exc))
     click.echo(f"wrote {', '.join(written)} in {out_dir}")
@@ -482,6 +466,10 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
     try:
+        _check_prior(prior_h0)
+    except DomainError as exc:
+        _validation_exit(str(exc))
+    try:
         if text_path in (None, "-"):
             text = click.get_text_stream("stdin").read()
         else:
@@ -505,11 +493,10 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
                 design, error = None, str(exc)
         evaluated.append((stat, design, evidence, error))
 
-    manifest = _manifest("parse", {
-        "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
-    })
     if as_json:
-        head = json.dumps({"manifest": manifest, "reports": []}, indent=2, sort_keys=True)
+        head = _report_json("parse", {
+            "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
+        }, {"reports": []})
         lead = head[:-len("[]\n}")] + "[\n"  # "reports" is the last key
         for start in range(0, len(evaluated), _REPORT_BATCH):
             batch = evaluated[start:start + _REPORT_BATCH]

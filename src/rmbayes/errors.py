@@ -6,6 +6,8 @@ import numbers
 import operator
 from typing import Optional
 
+__all__ = ["DegenerateResidualError", "DesignInferenceError", "DomainError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""

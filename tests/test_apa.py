@@ -6,6 +6,16 @@ from hypothesis import given, settings, strategies as st
 from rmbayes import DesignSpec, infer_rm_design, parse_reports, ReportedStat
 from rmbayes.errors import DesignInferenceError
 
+# numbers whose exponent, if any, has a "-" that a typeset text would write as U+2212
+_NUMBER_WITH_MINUS = st.builds(
+    "{}{}{}".format, st.sampled_from(["1", "1.3", ".5", "24", "4.", "0"]),
+    st.sampled_from(["", "e-", "E-", "e-0", "e+", "e"]), st.sampled_from(["", "2", "13"]))
+_RELATION = st.sampled_from(["=", "<"])
+_REPORT_WITH_MINUS = st.builds(
+    "F({}, {}) {} {}{}".format, _NUMBER_WITH_MINUS, _NUMBER_WITH_MINUS, _RELATION,
+    _NUMBER_WITH_MINUS,
+    st.one_of(st.just(""), st.builds(", p {} {}".format, _RELATION, _NUMBER_WITH_MINUS)))
+
 
 class TestParseReports:
     def test_single_report_with_p(self):
@@ -61,6 +71,33 @@ class TestParseReports:
         assert stat.f_value == 4.5
         assert stat.p_reported is None
         assert stat.span == (0, len("F(2, 10) = 4.5"))
+
+    def test_unicode_minus_exponent(self):
+        stat = parse_reports("F(1, 22) = 1.3e\u22122, p = .9")[0]
+        assert (stat.f_value, stat.p_reported) == (0.013, 0.9)
+        text = "F(2, 38) = 9.1, p < 1e\u22123"
+        stat = parse_reports(text)[0]
+        assert (stat.f_value, stat.p_reported, stat.p_is_upper_bound) == (9.1, 0.001, True)
+        assert stat.span == (0, len(text))
+
+    def test_decimal_comma_drops_the_match(self):
+        assert parse_reports("F(1, 22) = 4,3, p = .05") == []
+        assert parse_reports("F(1, 22) = 1.336, p = 0,26") == []
+        # a later report is still found
+        stat, = parse_reports("F(1, 22) = 4,3, p = .05 and F(2, 38) = 1.2")
+        assert (stat.df1, stat.f_value) == (2.0, 1.2)
+
+    def test_unread_exponent_drops_the_match(self):
+        # an en dash is no exponent sign; the match must not stop at 1.3
+        assert parse_reports("F(1, 22) = 1.3e\u20132, p = .9") == []
+        assert parse_reports("F(2, 38) = 9.1, p < 1e\u20133") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(alphabet=" -,e;2", max_size=4), _REPORT_WITH_MINUS),
+                    max_size=5))
+    def test_unicode_minus_spelling_parses_the_same(self, parts):
+        hyphens = "".join(filler + report for filler, report in parts)
+        assert parse_reports(hyphens.replace("-", "\u2212")) == parse_reports(hyphens)
 
     def test_sub_unit_dfs_skipped(self):
         assert parse_reports("F(0, 22) = 3.0") == []

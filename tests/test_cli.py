@@ -112,6 +112,18 @@ class TestBf:
         assert payload["evidence"]["bf01"] == pytest.approx(2.435, abs=0.001)
         assert payload["evidence"]["method"] == "minimal_rm"
 
+    def test_text_output_exact(self, runner):
+        result = invoke(runner, ["bf", "--f", "1.336", "--n", "23", "--k", "2"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "F = 1.336, n = 23, k = 2\n"
+            "method      : minimal BIC (repeated measures)\n"
+            "BF01        : 2.435\n"
+            "BF10        : 0.411\n"
+            "dBIC10      : 1.780\n"
+            "p(H0 | y)   : 0.709\n"
+            "p(H1 | y)   : 0.291   (prior p(H0) = 0.5)\n")
+
     def test_json_evidence_fields(self, runner):
         result = invoke(runner, ["bf", "--f", "1.336", "--n", "23", "--k", "2", "--json"])
         evidence = json.loads(result.output)["evidence"]
@@ -167,6 +179,20 @@ class TestBfSs:
         human = invoke(runner, ["bf-ss", "--sst", "100", "--ssa", "0",
                                 "--ssb", "50", "--n", "10", "--k", "2"])
         assert "treatment explains nothing" in human.output
+
+    def test_zero_treatment_text_output_exact(self, runner):
+        result = invoke(runner, ["bf-ss", "--sst", "100", "--ssa", "0",
+                                 "--ssb", "50", "--n", "10", "--k", "2"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "SST = 100, SSA = 0, SSB = 50, n = 10, k = 2\n"
+            "method      : Nathoo-Masson (sums of squares)\n"
+            "BF01        : 4.472\n"
+            "BF10        : 0.224\n"
+            "dBIC10      : 2.996\n"
+            "p(H0 | y)   : 0.817\n"
+            "p(H1 | y)   : 0.183   (prior p(H0) = 0.5)\n"
+            "note: the treatment sum of squares is 0; the treatment explains nothing\n")
 
     def test_shared_evidence_schema_across_subcommands(self, runner):
         via_f = json.loads(invoke(runner, ["bf", "--f", "1.336", "--n", "23",
@@ -235,6 +261,33 @@ class TestAnova:
         ]).output)["evidence"]
         assert evidence["log_bf01"] == pytest.approx(direct["log_bf01"], rel=1e-9)
         assert payload["evidence"]["nathoo_masson"]["method"] == "nathoo_masson"
+
+    def test_bf_text_output_exact(self, runner, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("a,b,c\n1,2,4\n2,4,5\n3,3,7\n4,6,6\n", encoding="utf-8")
+        result = invoke(runner, ["anova", str(path), "--bf"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "n = 4 subjects, k = 3 conditions\n"
+            "Source         SS  df     MS       F      p\n"
+            "Subjects   14.250   3  4.750\n"
+            "Treatment  18.167   2  9.083  12.111  0.008\n"
+            "Residual    4.500   6  0.750\n"
+            "Total      36.917  11\n"
+            "\n"
+            "method      : minimal BIC (repeated measures)\n"
+            "BF01        : 0.012\n"
+            "BF10        : 80.466\n"
+            "dBIC10      : -8.776\n"
+            "p(H0 | y)   : 0.012\n"
+            "p(H1 | y)   : 0.988   (prior p(H0) = 0.5)\n"
+            "\n"
+            "method      : Nathoo-Masson (sums of squares)\n"
+            "BF01        : 0.003\n"
+            "BF10        : 337.898\n"
+            "dBIC10      : -11.645\n"
+            "p(H0 | y)   : 0.003\n"
+            "p(H1 | y)   : 0.997   (prior p(H0) = 0.5)\n")
 
     def test_ragged_rows_exit_2(self, runner, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -366,6 +419,32 @@ class TestSimulate:
         assert_schema_valid(report)
         assert report["cells"][0]["posterior_correlation"] == -1.0
 
+    @pytest.mark.parametrize("reps", [1, 10])
+    def test_tables_match_grid_report_cells(self, runner, tmp_path, reps):
+        # one replication leaves the correlation undefined: an empty CSV cell, a JSON null
+        invoke(runner, ["simulate", "--reps", str(reps), "--seed", "42",
+                        "--out-dir", str(tmp_path)])
+        cells = json.loads((tmp_path / "grid_report.json").read_text())["cells"]
+        assert (reps == 1) == all(cell["posterior_correlation"] is None for cell in cells)
+
+        def rows(name):
+            with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+                return [{column: text if column == "method" else
+                         None if text == "" else float(text) for column, text in row.items()}
+                        for row in csv.DictReader(handle)]
+
+        key = ["delta", "rho", "n"]
+        for name, columns in (("table2.csv", ["accuracy_min", "accuracy_nm"]),
+                              ("table3.csv", ["consistency"]),
+                              ("table4.csv", ["posterior_correlation"])):
+            assert rows(name) == [{column: cell[column] for column in key + columns}
+                                  for cell in cells]
+        assert rows("boxplot_data.csv") == [
+            {**{column: cell[column] for column in key}, "method": method,
+             **cell[f"posterior_quantiles_{suffix}"]}
+            for cell in cells
+            for method, suffix in (("minimal_rm", "min"), ("nathoo_masson", "nm"))]
+
     def test_out_dir_env_override(self, runner, tmp_path):
         target = tmp_path / "from_env"
         result = runner.invoke(main, ["simulate", "--reps", "5", "--seed", "1"],
@@ -467,6 +546,17 @@ class TestParse:
                         input="F(1, 22) = 1.336")
         posterior = json.loads(result.output)["reports"][0]["evidence"]["posterior_h0"]
         assert posterior == pytest.approx(0.448, abs=0.001)
+
+    @pytest.mark.parametrize("options", [(), ("--no-assume-rm",), ("--json",)])
+    @pytest.mark.parametrize("prior", ["2", "0", "1", "nan"])
+    def test_invalid_prior_exit_2(self, runner, prior, options):
+        # the design is inferable, so the prior must be refused before any report is written
+        result = runner.invoke(main, ["parse", "--prior-h0", prior, *options],
+                               input="F(1, 22) = 1.336, p = .26")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: prior_h0 must lie strictly between 0 and 1, "
+                                 f"got {float(prior)!r}\n")
 
     def test_missing_file_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["parse", str(tmp_path / "absent.txt")])
