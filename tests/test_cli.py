@@ -427,10 +427,14 @@ class TestSimulate:
         cells = json.loads((tmp_path / "grid_report.json").read_text())["cells"]
         assert (reps == 1) == all(cell["posterior_correlation"] is None for cell in cells)
 
+        def value(column, text):
+            if column == "method":
+                return text
+            return None if text == "" else float(text)
+
         def rows(name):
             with open(tmp_path / name, newline="", encoding="utf-8") as handle:
-                return [{column: text if column == "method" else
-                         None if text == "" else float(text) for column, text in row.items()}
+                return [{column: value(column, text) for column, text in row.items()}
                         for row in csv.DictReader(handle)]
 
         key = ["delta", "rho", "n"]
@@ -550,7 +554,7 @@ class TestParse:
     @pytest.mark.parametrize("options", [(), ("--no-assume-rm",), ("--json",)])
     @pytest.mark.parametrize("prior", ["2", "0", "1", "nan"])
     def test_invalid_prior_exit_2(self, runner, prior, options):
-        # the design is inferable, so the prior must be refused before any report is written
+        # the dfs invert into a design, so only the prior is wrong; nothing may be written
         result = runner.invoke(main, ["parse", "--prior-h0", prior, *options],
                                input="F(1, 22) = 1.336, p = .26")
         assert result.exit_code == 2
