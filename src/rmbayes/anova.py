@@ -14,30 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError, DomainError, as_int
+from .errors import DegenerateResidualError, DomainError
 
-__all__ = ["AnovaTable", "DesignSpec", "f_cdf", "rm_anova"]
+__all__ = ["AnovaTable", "f_cdf", "rm_anova"]
 
 # Relative threshold below which a sum of squares counts as exactly zero.
 # Guards the F ratio against 0/0 noise when SSR = SST - SSA - SSB cancels.
 _SS_REL_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    """A repeated-measures design: n subjects each measured in k conditions."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        n, k = as_int(self.n), as_int(self.k)
-        if n is None or n < 2:
-            raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
-        if k is None or k < 2:
-            raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .anova import DesignSpec
+from .bayes import DesignSpec
 from .errors import DesignInferenceError
 
 __all__ = ["ReportedStat", "infer_rm_design", "parse_reports"]

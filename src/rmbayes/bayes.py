@@ -26,10 +26,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .anova import DesignSpec
 from .errors import DomainError, as_int, is_real
 
 __all__ = [
+    "DesignSpec",
     "EvidenceResult",
     "Method",
     "ModelChoice",
@@ -54,6 +54,23 @@ class Method(str, Enum):
 class ModelChoice(str, Enum):
     H0 = "H0"
     H1 = "H1"
+
+
+@dataclass(frozen=True)
+class DesignSpec:
+    """A repeated-measures design: n subjects each measured in k conditions."""
+
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        n, k = as_int(self.n), as_int(self.k)
+        if n is None or n < 2:
+            raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
+        if k is None or k < 2:
+            raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)

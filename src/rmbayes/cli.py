@@ -14,15 +14,16 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import __version__
-from .anova import DesignSpec, rm_anova
 from .apa import parse_reports, infer_rm_design
 from .bayes import (
+    DesignSpec,
     Method,
     ModelChoice,
     SummaryStats,
@@ -33,9 +34,27 @@ from .bayes import (
     delta_bic_nathoo,
 )
 from .errors import DomainError
-from .simulate import FiveNumberSummary, GridReport, run_grid
+
+if TYPE_CHECKING:
+    from .simulate import FiveNumberSummary, GridReport
 
 _SCHEMA_VERSION = 1
+
+
+def _numpy_backed(name: str):
+    """``rm_anova`` or ``run_grid``, bound as a module global on first use, which
+    imports numpy. A value already bound there, such as a wrapper, is kept."""
+    if name not in globals():
+        module = import_module(".anova" if name == "rm_anova" else ".simulate", __package__)
+        globals()[name] = getattr(module, name)
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    """``rmbayes.cli.rm_anova`` and ``rmbayes.cli.run_grid`` before first use."""
+    if name in ("rm_anova", "run_grid"):
+        return _numpy_backed(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -170,7 +189,7 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions:
     }, as_json, {"evidence": vars(result)}, lines)
 
 
-def _read_wide_csv(path: str) -> np.ndarray:
+def _read_wide_csv(path: str) -> list[list[float]]:
     """Wide-format CSV: header row, one row per subject, k numeric columns.
     Content problems raise DomainError; OSError propagates to the caller."""
     with open(path, newline="", encoding="utf-8") as handle:
@@ -191,7 +210,7 @@ def _read_wide_csv(path: str) -> np.ndarray:
             data.append([float(cell) for cell in row])
         except ValueError:
             raise DomainError(f"row {lineno} contains a non-numeric cell") from None
-    return np.asarray(data, dtype=float)
+    return data
 
 
 def _render_anova_table(table) -> list[str]:
@@ -229,9 +248,8 @@ def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
     except DomainError as exc:
         _validation_exit(str(exc))
     try:
-        table = rm_anova(data)
-        n, k = data.shape
-        design = DesignSpec(n=int(n), k=int(k))
+        table = _numpy_backed("rm_anova")(data)
+        design = DesignSpec(n=len(data), k=len(data[0]))
         evidence = []
         if with_bf:
             evidence = [
@@ -384,8 +402,9 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
         n_values = _parse_number_list(n_list, int, "subject-count")
         rho_values = _parse_number_list(rho_list, float, "correlation")
         delta_values = _parse_number_list(delta_list, float, "effect-size")
-        report = run_grid(n_values, rho_values, delta_values, k=k, reps=reps,
-                          master_seed=seed, spacing=spacing, workers=workers)
+        report = _numpy_backed("run_grid")(n_values, rho_values, delta_values, k=k,
+                                           reps=reps, master_seed=seed, spacing=spacing,
+                                           workers=workers)
     except DomainError as exc:
         _validation_exit(str(exc))
     params = {

@@ -502,6 +502,12 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
                          master_seed=master_seed, spacing=spacing)
         for delta in delta_values for rho in rho_values for n in n_values
     ]
+    seen = set()
+    for config in configs:
+        if config.cell_id in seen:
+            raise DomainError(f"two grid cells share the id {config.cell_id}: a value is "
+                              "repeated, or two agree to the id's 6 significant digits")
+        seen.add(config.cell_id)
     pool_size = min(pool_size, len(configs))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -6,9 +6,27 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rmbayes
+
+SRC = str(Path(rmbayes.__file__).resolve().parents[1])
+
+
+def fresh_python(code: str, args=(), stdin: str = "") -> str:
+    """The last stdout line of ``code`` run in a new interpreter that imports
+    this package's source, so nothing is loaded beforehand."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1]
 
 
 def definitional_anova(matrix) -> tuple[float, float, float, float]:

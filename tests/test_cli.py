@@ -369,6 +369,15 @@ class TestSimulate:
         assert (tmp_path / "seq" / "table2.csv").read_bytes() == \
             (tmp_path / "par" / "table2.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_list,rho_list", [("20,20", "0.2"), ("20", "0.2,0.2000001")])
+    def test_cells_sharing_an_id_exit_2(self, runner, tmp_path, n_list, rho_list):
+        result = runner.invoke(main, ["simulate", "--n", n_list, "--rho", rho_list,
+                                      "--delta", "0", "--reps", "3",
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "share the id n20_k3_rho0.2_delta0" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_per_rep_emission(self, runner, tmp_path):
         self.run_smoke(runner, tmp_path / "out", extra=["--emit-per-rep"])
         lines = (tmp_path / "out" / "per_rep.csv").read_text().splitlines()

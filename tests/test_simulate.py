@@ -339,6 +339,18 @@ class TestRunGrid:
         with pytest.raises(DomainError):
             run_grid((20,), (1.5,), (0.0,))
 
+    @pytest.mark.parametrize("n_values,rho_values", [
+        ((20, 20), (0.2,)),            # the same cell twice
+        ((20,), (0.2, 0.2000001)),     # two cells, one id
+    ])
+    def test_cells_sharing_an_id_rejected_before_any_runs(self, monkeypatch, n_values,
+                                                          rho_values):
+        ran = []
+        monkeypatch.setattr(sim, "run_cell", ran.append)
+        with pytest.raises(DomainError, match="share the id n20_k3_rho0.2_delta0:"):
+            run_grid(n_values, rho_values, (0.0,), reps=3)
+        assert ran == []
+
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
     def test_invalid_workers_rejected(self, workers):
         with pytest.raises(DomainError, match="workers must be an integer >= 1"):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -33,3 +35,13 @@ def test_trace_points_are_callable_module_attributes(module_name):
     assert names
     missing = [name for name in names if not callable(getattr(module, name, None))]
     assert missing == []
+
+
+def test_cli_names_load_every_traced_module():
+    # tracing.installed() looks up the rmbayes.cli names first, then indexes
+    # sys.modules for the other modules; rmbayes.cli loads them lazily
+    points = trace_points()
+    code = (f"import sys, rmbayes.cli\n"
+            f"for name in {points['rmbayes.cli']!r}: getattr(rmbayes.cli, name)\n"
+            f"print(sorted(set({sorted(points)!r}) - set(sys.modules)))")
+    assert fresh_python(code) == "[]"
