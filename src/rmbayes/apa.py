@@ -8,6 +8,7 @@ its sign may also be U+2212, the minus sign of typeset text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -91,11 +92,15 @@ def infer_rm_design(stat: ReportedStat) -> DesignSpec:
     Raises
     ------
     DesignInferenceError
-        For decimal (e.g. sphericity-corrected) dfs, or when df2 is not
-        divisible by df1 -- either way the report cannot come from an
+        For dfs that are not finite (a reported number beyond the float
+        range), for decimal (e.g. sphericity-corrected) dfs, or when df2 is not
+        divisible by df1 -- in each case the report cannot come from an
         uncorrected one-factor repeated-measures ANOVA, and n and k must be
         supplied manually.
     """
+    if not (math.isfinite(stat.df1) and math.isfinite(stat.df2)):
+        raise DesignInferenceError(
+            f"degrees of freedom ({stat.df1:g}, {stat.df2:g}) are not finite")
     if not float(stat.df1).is_integer() or not float(stat.df2).is_integer():
         raise DesignInferenceError(
             f"decimal degrees of freedom ({stat.df1:g}, {stat.df2:g}) suggest a "

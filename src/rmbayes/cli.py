@@ -15,6 +15,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from importlib import import_module
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -36,6 +37,7 @@ from .bayes import (
 from .errors import DomainError
 
 if TYPE_CHECKING:
+    import numpy as np
     from .simulate import FiveNumberSummary, GridReport
 
 _SCHEMA_VERSION = 1
@@ -189,27 +191,53 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions:
     }, as_json, {"evidence": vars(result)}, lines)
 
 
-def _read_wide_csv(path: str) -> list[list[float]]:
-    """Wide-format CSV: header row, one row per subject, k numeric columns.
+def _read_wide_csv(path: str) -> np.ndarray:
+    """Wide-format CSV: header row, one row per subject, k numeric columns, as an
+    n-by-k float64 array. numpy's C reader takes the common case; whatever it
+    rejects, ``_read_csv_rows`` reads and decides.
     Content problems raise DomainError; OSError propagates to the caller."""
+    import numpy as np
+
     with open(path, newline="", encoding="utf-8") as handle:
         try:
-            rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+            header = next(csv.reader(handle), [])
+            first = next(handle, "")
+            # loadtxt warns on input with no data row; a blank first row goes to the row reader
+            if any(cell.strip() for cell in header) and first.strip():
+                values = np.loadtxt(chain([first], handle), delimiter=",", quotechar='"',
+                                    comments=None, ndmin=2)
+                if len(values) >= 2 and values.shape[1] == len(header):
+                    return values
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            pass
+    return np.array(_read_csv_rows(path))
+
+
+def _read_csv_rows(path: str) -> list[list[float]]:
+    """``_read_wide_csv`` row by row: blank rows are skipped, cells are read by
+    ``float``, and each error names the file line."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = [(reader.line_num, row) for row in reader
+                    if any(cell.strip() for cell in row)]
         except UnicodeDecodeError as exc:
             # exc.object is the chunk being decoded; it ends where the buffer stands
             offset = handle.buffer.tell() - len(exc.object) + exc.start
             raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DomainError(f"line {reader.line_num}: {exc}") from None
     if len(rows) < 3:
         raise DomainError("CSV needs a header row and at least 2 subject rows")
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != width:
-            raise DomainError(f"row {lineno} has {len(row)} cells, expected {width}")
+            raise DomainError(f"line {line} has {len(row)} cells, expected {width}")
         try:
             data.append([float(cell) for cell in row])
         except ValueError:
-            raise DomainError(f"row {lineno} contains a non-numeric cell") from None
+            raise DomainError(f"line {line} contains a non-numeric cell") from None
     return data
 
 
@@ -249,7 +277,8 @@ def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
         _validation_exit(str(exc))
     try:
         table = _numpy_backed("rm_anova")(data)
-        design = DesignSpec(n=len(data), k=len(data[0]))
+        n, k = data.shape
+        design = DesignSpec(n=n, k=k)
         evidence = []
         if with_bf:
             evidence = [

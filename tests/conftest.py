@@ -3,6 +3,7 @@ JSON schema loading."""
 
 from __future__ import annotations
 
+import csv
 import importlib.resources
 import json
 import math
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rmbayes
+from rmbayes.errors import DomainError
 
 SRC = str(Path(rmbayes.__file__).resolve().parents[1])
 
@@ -44,6 +46,33 @@ def definitional_anova(matrix) -> tuple[float, float, float, float]:
     ssb = k * math.fsum((m - grand) ** 2 for m in row_means)
     sst = math.fsum((rows[i][j] - grand) ** 2 for i in range(n) for j in range(k))
     return ssa, ssb, sst - ssa - ssb, sst
+
+
+def reference_read_wide_csv(path) -> list[list[float]]:
+    """The CLI's wide-CSV reader written row by row with ``csv`` and ``float``:
+    the reference its numpy-backed reader must match value for value and error
+    for error. Blank rows are skipped and errors name the file line."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            rows = [(reader.line_num, row) for row in reader
+                    if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError as exc:
+            # exc.object is the chunk being decoded; it ends where the buffer stands
+            offset = handle.buffer.tell() - len(exc.object) + exc.start
+            raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
+    if len(rows) < 3:
+        raise DomainError("CSV needs a header row and at least 2 subject rows")
+    width = len(rows[0][1])
+    data = []
+    for line, row in rows[1:]:
+        if len(row) != width:
+            raise DomainError(f"line {line} has {len(row)} cells, expected {width}")
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError:
+            raise DomainError(f"line {line} contains a non-numeric cell") from None
+    return data
 
 
 def build_two_condition_matrix(ss_treatment: float, ss_subjects: float,

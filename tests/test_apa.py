@@ -150,6 +150,11 @@ class TestInferDesign:
         with pytest.raises(DesignInferenceError, match="sphericity"):
             infer_rm_design(ReportedStat(f_value=5.0, df1=1.46, df2=32.1))
 
+    def test_overflowing_dfs_rejected_as_not_finite(self):
+        (stat,) = parse_reports("F(1, 1e400) = 2")
+        with pytest.raises(DesignInferenceError, match=r"\(1, inf\) are not finite"):
+            infer_rm_design(stat)
+
     def test_df2_smaller_than_df1_rejected(self):
         with pytest.raises(DesignInferenceError):
             infer_rm_design(ReportedStat(f_value=5.0, df1=4, df2=2))

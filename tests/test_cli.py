@@ -294,6 +294,20 @@ class TestAnova:
         path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
         assert runner.invoke(main, ["anova", str(path)]).exit_code == 2
 
+    def test_ragged_row_after_blank_lines_names_its_file_line(self, runner, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n\n\n3\n", encoding="utf-8")
+        result = runner.invoke(main, ["anova", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 5 has 1 cells, expected 2\n"
+
+    def test_oversized_cell_exit_2_names_its_line(self, runner, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["anova", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 3: field larger than field limit (131072)\n"
+
     def test_non_numeric_cell_exit_2(self, runner, tmp_path):
         path = tmp_path / "words.csv"
         path.write_text("a,b\n1,2\n3,four\n", encoding="utf-8")
