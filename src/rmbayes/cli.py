@@ -136,6 +136,9 @@ def _render_evidence(result) -> list[str]:
 def main() -> None:
     """Bayes factors for repeated-measures ANOVA from minimal summary
     statistics."""
+    # before numpy loads: OpenBLAS splits a long dot product across threads, so
+    # its rounding, and anova's digits, would follow the core count
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 @main.command("bf")
@@ -218,6 +221,7 @@ def _read_csv_rows(path: str) -> list[list[float]]:
     ``float``, and each error names the file line."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
+        limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
         try:
             rows = [(reader.line_num, row) for row in reader
                     if any(cell.strip() for cell in row)]
@@ -227,6 +231,8 @@ def _read_csv_rows(path: str) -> list[list[float]]:
             raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
         except csv.Error as exc:
             raise DomainError(f"line {reader.line_num}: {exc}") from None
+        finally:
+            csv.field_size_limit(limit)
     if len(rows) < 3:
         raise DomainError("CSV needs a header row and at least 2 subject rows")
     width = len(rows[0][1])
@@ -367,16 +373,16 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
         _write_csv(target(name), header, [[record[column] for column in header]
                                           for record in records])
 
-    scatter_rows = []
-    for cell in report.cells:
-        # the cell's columns, formatted once for all of its rows
-        head = [cell.cell_id, cell.config.delta, cell.config.rho, cell.config.n]
-        scatter_rows.extend(
-            head + [rep, posterior_min, posterior_nm]
-            for rep, (posterior_min, posterior_nm) in enumerate(zip(
-                cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist())))
-    _write_csv(target("scatter_data.csv"),
-               ["cell_id"] + key + ["rep", "posterior_min", "posterior_nm"], scatter_rows)
+    # csv.writer's bytes, written line by line: it writes a float by repr and an int
+    # by str, and no cell here needs quoting
+    with open(target("scatter_data.csv"), "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(["cell_id", *key, "rep", "posterior_min", "posterior_nm"]) + "\n")
+        for cell in report.cells:
+            head = f"{cell.cell_id},{cell.config.delta!r},{cell.config.rho!r},{cell.config.n},"
+            handle.write("".join(
+                f"{head}{rep},{posterior_min!r},{posterior_nm!r}\n"
+                for rep, (posterior_min, posterior_nm) in enumerate(zip(
+                    cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist()))))
 
     if emit_per_rep:
         choice = {True: ModelChoice.H0.value, False: ModelChoice.H1.value}

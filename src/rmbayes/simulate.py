@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -430,8 +429,10 @@ def run_cell(config: SimulationConfig) -> CellResult:
     """
     n, k, reps = config.n, config.k, config.reps
     block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
-    subject = np.empty((block, n))
-    noise = np.empty((block, n, k))
+    # one draw per replication fills its row: the n subject effects, then the n*k
+    # noise values, the order in which generate_dataset draws them
+    normals = np.empty((block, n * (k + 1)))
+    subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
     data = np.empty((block, n, k))
     f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
 
@@ -439,9 +440,8 @@ def run_cell(config: SimulationConfig) -> CellResult:
         stop = min(first + block, reps)
         size = stop - first
         seeds = _rep_seeds(config, first, stop)
-        for rep_subject, rep_noise, rng in zip(subject, noise, _substreams(seeds)):
-            rng.standard_normal(out=rep_subject)
-            rng.standard_normal(out=rep_noise)
+        for row, rng in zip(normals, _substreams(seeds)):
+            rng.standard_normal(out=row)
         sub, noi, dat = subject[:size], noise[:size], data[:size]
         sub *= math.sqrt(config.rho)
         noi *= math.sqrt(1.0 - config.rho)
@@ -510,6 +510,8 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
         seen.add(config.cell_id)
     pool_size = min(pool_size, len(configs))
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             cells = tuple(pool.map(run_cell, configs))
     else:

@@ -54,6 +54,7 @@ def reference_read_wide_csv(path) -> list[list[float]]:
     for error. Blank rows are skipped and errors name the file line."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
+        limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
         try:
             rows = [(reader.line_num, row) for row in reader
                     if any(cell.strip() for cell in row)]
@@ -61,6 +62,8 @@ def reference_read_wide_csv(path) -> list[list[float]]:
             # exc.object is the chunk being decoded; it ends where the buffer stands
             offset = handle.buffer.tell() - len(exc.object) + exc.start
             raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
+        finally:
+            csv.field_size_limit(limit)
     if len(rows) < 3:
         raise DomainError("CSV needs a header row and at least 2 subject rows")
     width = len(rows[0][1])

@@ -2,7 +2,12 @@
 file outputs and determinism."""
 
 import csv
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
 
@@ -17,7 +22,7 @@ from rmbayes.bayes import EvidenceResult, _saturating_exp, bf01_minimal_rm
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
 
-from conftest import assert_schema_valid, build_two_condition_matrix
+from conftest import SRC, assert_schema_valid, build_two_condition_matrix
 
 
 @pytest.fixture()
@@ -306,7 +311,25 @@ class TestAnova:
         path.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n", encoding="utf-8")
         result = runner.invoke(main, ["anova", str(path)])
         assert result.exit_code == 2
-        assert result.stderr == "error: line 3: field larger than field limit (131072)\n"
+        assert result.stderr == "error: line 3 contains a non-numeric cell\n"
+
+    def test_digits_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product of 20 000 values across its threads, whose
+        # number is fixed when numpy loads: so each run is a fresh interpreter
+        path = tmp_path / "wide.csv"
+        write_csv(path, 500.0 + np.random.default_rng(20).normal(size=(20_000, 3)))
+        outputs = set()
+        for threads in (None, "1", "2"):
+            env = {name: value for name, value in os.environ.items()
+                   if name != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run(
+                [sys.executable, "-m", "rmbayes.cli", "anova", str(path), "--bf", "--json"],
+                env=env, capture_output=True, text=True, check=True).stdout
+            outputs.add(re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out))
+        assert len(outputs) == 1
 
     def test_non_numeric_cell_exit_2(self, runner, tmp_path):
         path = tmp_path / "words.csv"
@@ -423,6 +446,40 @@ class TestSimulate:
                 choice = row[f"choice_{method}"]
                 assert choice == ("H0" if log_bf01 >= 0 else "H1")
                 assert (bf01 >= 1.0) == (choice == "H0")
+
+    def test_scatter_rows_match_series(self, runner, tmp_path):
+        # rho 0.123456789 is written in full in the rho column, as 0.123457 in the cell id
+        invoke(runner, ["simulate", "--n", "20", "--rho", "0.123456789,0.8",
+                        "--delta", "0,0.3", "--reps", "40", "--seed", "42",
+                        "--out-dir", str(tmp_path)])
+        header = ["cell_id", "delta", "rho", "n", "rep", "posterior_min", "posterior_nm"]
+        expected = []
+        for delta in (0.0, 0.3):
+            for rho in (0.123456789, 0.8):
+                config = SimulationConfig(n=20, rho=rho, delta=delta, reps=40, master_seed=42)
+                series = run_cell(config).series
+                expected += [[config.cell_id, delta, rho, 20, rep, posterior_min, posterior_nm]
+                             for rep, (posterior_min, posterior_nm) in enumerate(zip(
+                                 series.posterior_min.tolist(),
+                                 series.posterior_nm.tolist()))]
+        assert expected[0][0] == "n20_k3_rho0.123457_delta0"
+
+        with open(tmp_path / "scatter_data.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == header
+        assert len(rows) == 1 + len(expected)
+        for row, (cell_id, delta, rho, n, rep, posterior_min, posterior_nm) in zip(
+                rows[1:], expected):
+            assert row[0] == cell_id
+            assert (float(row[1]), float(row[2]), int(row[3]), int(row[4])) == \
+                (delta, rho, n, rep)
+            assert (float(row[5]), float(row[6])) == (posterior_min, posterior_nm)
+
+        rendered = io.StringIO()
+        writer = csv.writer(rendered, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(expected)
+        assert (tmp_path / "scatter_data.csv").read_bytes() == rendered.getvalue().encode()
 
     def test_grid_report_shape(self, runner, tmp_path):
         invoke(runner, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0",

@@ -9,16 +9,20 @@ from conftest import fresh_python
 
 REPORT = "Reaction times differed, F(2, 44) = 5.1, p = .01, across conditions.\n"
 
-# runs rmbayes.cli.main on argv, then prints whether numpy is loaded
-RUN_CLI = """
+# runs rmbayes.cli.main on argv
+RUN_MAIN = """
 import sys
 from rmbayes.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
     assert not exc.code, exc.code
-print("numpy" in sys.modules)
 """
+# ... then prints whether numpy is loaded
+RUN_CLI = RUN_MAIN + 'print("numpy" in sys.modules)\n'
+# ... then prints which of a process pool's modules are loaded
+RUN_CLI_POOL = (RUN_MAIN + 'print(sorted({"concurrent.futures.process", "multiprocessing"}'
+                ' & set(sys.modules)))\n')
 
 
 @pytest.fixture()
@@ -63,3 +67,14 @@ def test_simulate_import_leaves_numpy_random_unloaded():
     # is imported on the first substream built, not with the module
     code = "import sys, rmbayes.simulate\nprint('numpy.random' in sys.modules)"
     assert fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("workers,loaded", [
+    ("1", "[]"),
+    # the first case can fail: a run on two workers does load the pool
+    ("2", "['concurrent.futures.process', 'multiprocessing']"),
+])
+def test_simulate_loads_the_process_pool_only_on_more_workers(tmp_path, workers, loaded):
+    args = ["simulate", "--n", "20", "--rho", "0.2,0.8", "--delta", "0", "--reps", "3",
+            "--workers", workers, "--out-dir", str(tmp_path)]
+    assert fresh_python(RUN_CLI_POOL, args) == loaded

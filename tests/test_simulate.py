@@ -1,5 +1,6 @@
 """Data generator, substreams, cell aggregation and grid determinism."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -377,7 +378,7 @@ class TestRunGrid:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SequentialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
         kwargs = dict(n_values=n_values, rho_values=(0.2,), delta_values=(0.5,), reps=3,
                       master_seed=5)
         report = run_grid(workers=workers, **kwargs)

@@ -78,6 +78,9 @@ EDGE_CASES = {
     "non-numeric cell": "a,b\n1,2\n3,four\n",
     "empty cell": "a,b\n1,\n3,4\n",
     "tab separated": "a\tb\n1\t2\n3\t4\n",
+    # longer than the csv module's default field limit of 131 072 characters
+    "long cell": "a,b\n1,2\n3,0." + "0" * 200_000 + "1\n4,7\n",
+    "long cell after blank line": "a,b\n\n1,2\n3,0." + "0" * 200_000 + "1\n4,7\n",
 }
 
 
