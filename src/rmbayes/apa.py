@@ -19,8 +19,12 @@ from .errors import DesignInferenceError
 __all__ = ["ReportedStat", "infer_rm_design", "parse_reports"]
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# a report from its "(" on: re finds a leading literal far faster than the class
+# [Ff], so parse_reports checks the "F" and the whitespace before the "(" itself.
+# A match holds no F and ends in a digit or ".", so an anchored match without its
+# F can neither hide a report nor start inside one.
 _F_REPORT = re.compile(
-    rf"[Ff]\s*\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
+    rf"\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
     rf"(?:\s*,\s*[pP]\s*([=<])\s*({_NUMBER}))?"
 )
 # after the value that ends a match: an exponent or decimal comma the pattern left unread
@@ -57,29 +61,24 @@ def parse_reports(text: str) -> list[ReportedStat]:
     text = text.replace("\u2212", "-")
     reports = []
     for match in _F_REPORT.finditer(text):
-        if _HALF_READ.match(text, match.end()):
+        start = match.start()
+        while start and text[start - 1].isspace():  # str.isspace is re's \s
+            start -= 1
+        if not start or text[start - 1] not in "Ff" or _HALF_READ.match(text, match.end()):
             continue
-        df1 = float(match.group(1))
-        df2 = float(match.group(2))
+        df1, df2, f_relation, f_value, p_relation, p_value = match.groups()
+        df1, df2 = float(df1), float(df2)
         if df1 < 1.0 or df2 < 1.0:
             continue
-        f_value = float(match.group(4))
-        p_value: Optional[float] = None
+        p_reported: Optional[float] = None
         p_is_upper = False
-        if match.group(6) is not None:
-            candidate = float(match.group(6))
+        if p_value is not None:
+            candidate = float(p_value)
             if 0.0 <= candidate <= 1.0:
-                p_value = candidate
-                p_is_upper = match.group(5) == "<"
-        reports.append(ReportedStat(
-            f_value=f_value,
-            df1=df1,
-            df2=df2,
-            p_reported=p_value,
-            f_is_upper_bound=match.group(3) == "<",
-            p_is_upper_bound=p_is_upper,
-            span=match.span(),
-        ))
+                p_reported = candidate
+                p_is_upper = p_relation == "<"
+        reports.append(ReportedStat(float(f_value), df1, df2, p_reported, f_relation == "<",
+                                    p_is_upper, (start - 1, match.end())))
     return reports
 
 

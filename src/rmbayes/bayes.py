@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, as_int, is_real
+from .errors import DomainError, as_int, check_float_range, is_real
 
 __all__ = [
     "DesignSpec",
@@ -69,6 +69,8 @@ class DesignSpec:
             raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
         if k is None or k < 2:
             raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
+        # the largest count the formulas take as a float
+        check_float_range("n*(k-1)", n * (k - 1))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
@@ -201,6 +203,8 @@ def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
     n = as_int(n_obs)
     if n is None or n < 2:
         raise DomainError(f"need at least 2 observations, got n_obs={n_obs!r}")
+    for name, value in (("df1", dfs[0]), ("df2", dfs[1]), ("n_obs", n)):
+        check_float_range(name, value)
     return _result(Method.BETWEEN_SUBJECTS, _log_bf01_between(f_stat, *dfs, n), prior_h0)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -464,9 +465,18 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
                    f"{_fmt(cell.consistency):>9}{corr:>7}")
 
 
-def _describe_stat(stat) -> str:
+def _report_line(stat, design, evidence, error) -> str:
+    """One report of the text listing of ``parse``."""
     relation = "<" if stat.f_is_upper_bound else "="
-    return f"F({stat.df1:g}, {stat.df2:g}) {relation} {stat.f_value:g}"
+    left = f"F({stat.df1:g}, {stat.df2:g}) {relation} {stat.f_value:g}"
+    if evidence is not None:
+        bound = ">=" if stat.f_is_upper_bound else "="
+        note = "  (lower bound: F reported as an upper bound)" if stat.f_is_upper_bound else ""
+        return (f"{left:<28} n={design.n}  k={design.k}  BF01 {bound} {_fmt(evidence.bf01)}  "
+                f"p(H0|y) = {_fmt(evidence.posterior_h0)}{note}")
+    if error is not None:
+        return f"{left:<28} not inferable: {error}"
+    return left
 
 
 def _json_float(value: float) -> str:
@@ -475,15 +485,27 @@ def _json_float(value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-# The report-v1 ``reports`` entry of ``parse --json``, keys in sorted order
+# The report-v1 ``reports`` entry of ``parse --json``, keys in sorted order, as one
+# template per shape: evaluated, not inferable, and listed without --assume-rm
 _REPORT_KEYS = ("design", "df1", "df2", "error", "evidence", "f_is_upper_bound", "f_value",
                 "p_is_upper_bound", "p_reported", "span")
 _EVIDENCE_KEYS = ("bf01", "bf10", "delta_bic10", "log_bf01", "method", "posterior_h0",
                   "posterior_h1", "prior_h0", "saturated")
-_REPORT_ENTRY = "    {\n" + ",\n".join(f'      "{k}": %s' for k in _REPORT_KEYS) + "\n    }"
-_REPORT_EVIDENCE = "{\n" + ",\n".join(f'        "{k}": %s' for k in _EVIDENCE_KEYS) + "\n      }"
-_REPORT_DESIGN = '{\n        "k": %d,\n        "n": %d\n      }'
-_REPORT_SPAN = "[\n        %d,\n        %d\n      ]"
+
+
+def _entry_template(design: str, error: str, evidence: str) -> str:
+    """An entry with these three members filled in and a slot for each other one."""
+    members = {"design": design, "error": error, "evidence": evidence,
+               "span": "[\n        %d,\n        %d\n      ]"}
+    return ("    {\n" + ",\n".join(f'      "{key}": {members.get(key, "%s")}'
+                                   for key in _REPORT_KEYS) + "\n    }")
+
+
+_REPORT_EVALUATED = _entry_template(
+    '{\n        "k": %d,\n        "n": %d\n      }', "null",
+    "{\n" + ",\n".join(f'        "{key}": %s' for key in _EVIDENCE_KEYS) + "\n      }")
+_REPORT_NOT_INFERABLE = _entry_template("null", "%s", "null")
+_REPORT_LISTED = _entry_template("null", "null", "null")
 _JSON_BOOL = {False: "false", True: "true"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _REPORT_BATCH = 1000  # entries per write: bounded memory, few flushes
@@ -492,18 +514,28 @@ _REPORT_BATCH = 1000  # entries per write: bounded memory, few flushes
 def _report_entry_json(stat, design, evidence, error) -> str:
     """One ``reports`` entry, ``vars(stat)`` plus the design, evidence and error,
     in the bytes ``json.dumps(indent=2, sort_keys=True)`` of the report has."""
-    f = _json_float
-    evidence_json = "null" if evidence is None else _REPORT_EVIDENCE % (
-        f(evidence.bf01), f(evidence.bf10), f(evidence.delta_bic10), f(evidence.log_bf01),
-        encode_basestring_ascii(evidence.method), f(evidence.posterior_h0),
-        f(evidence.posterior_h1), f(evidence.prior_h0), _JSON_BOOL[evidence.saturated])
-    return _REPORT_ENTRY % (
-        "null" if design is None else _REPORT_DESIGN % (design.k, design.n),
-        f(stat.df1), f(stat.df2),
-        "null" if error is None else encode_basestring_ascii(error),
-        evidence_json, _JSON_BOOL[stat.f_is_upper_bound], f(stat.f_value),
-        _JSON_BOOL[stat.p_is_upper_bound],
-        "null" if stat.p_reported is None else f(stat.p_reported), _REPORT_SPAN % stat.span)
+    # %s writes a finite float as its repr, as json does; p_reported and prior_h0
+    # lie in [0, 1], and the sum is not finite when another float is not
+    check = stat.df1 + stat.df2 + stat.f_value
+    if evidence is not None:
+        template = _REPORT_EVALUATED
+        values = (design.k, design.n, stat.df1, stat.df2, evidence.bf01, evidence.bf10,
+                  evidence.delta_bic10, evidence.log_bf01,
+                  encode_basestring_ascii(evidence.method), evidence.posterior_h0,
+                  evidence.posterior_h1, evidence.prior_h0, _JSON_BOOL[evidence.saturated])
+        check += (evidence.bf01 + evidence.bf10 + evidence.delta_bic10 + evidence.log_bf01
+                  + evidence.posterior_h0 + evidence.posterior_h1)
+    elif error is not None:
+        template, values = _REPORT_NOT_INFERABLE, (
+            stat.df1, stat.df2, encode_basestring_ascii(error))
+    else:
+        template, values = _REPORT_LISTED, (stat.df1, stat.df2)
+    values += (_JSON_BOOL[stat.f_is_upper_bound], stat.f_value,
+               _JSON_BOOL[stat.p_is_upper_bound],
+               "null" if stat.p_reported is None else stat.p_reported, *stat.span)
+    if not math.isfinite(check):
+        values = tuple(_json_float(v) if type(v) is float else v for v in values)
+    return template % values
 
 
 @main.command("parse")
@@ -552,27 +584,14 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
             "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
         }, {"reports": []})
         lead = head[:-len("[]\n}")] + "[\n"  # "reports" is the last key
-        for start in range(0, len(evaluated), _REPORT_BATCH):
-            batch = evaluated[start:start + _REPORT_BATCH]
-            click.echo(lead + ",\n".join(_report_entry_json(*row) for row in batch), nl=False)
-            lead = ",\n"
-        click.echo("\n  ]\n}" if evaluated else head)
-        return
-    if not evaluated:
-        click.echo("no F reports found")
-        return
-    for stat, design, evidence, error in evaluated:
-        left = _describe_stat(stat)
-        if evidence is not None:
-            bound = ">=" if stat.f_is_upper_bound else "="
-            note = "  (lower bound: F reported as an upper bound)" if stat.f_is_upper_bound else ""
-            click.echo(f"{left:<28} n={design.n}  k={design.k}  "
-                       f"BF01 {bound} {_fmt(evidence.bf01)}  "
-                       f"p(H0|y) = {_fmt(evidence.posterior_h0)}{note}")
-        elif error is not None:
-            click.echo(f"{left:<28} not inferable: {error}")
-        else:
-            click.echo(left)
+        render, sep, tail = _report_entry_json, ",\n", "\n  ]\n}" if evaluated else head
+    else:
+        lead, render, sep, tail = "", _report_line, "\n", "" if evaluated else "no F reports found"
+    for start in range(0, len(evaluated), _REPORT_BATCH):
+        batch = evaluated[start:start + _REPORT_BATCH]
+        click.echo(lead + sep.join(render(*row) for row in batch), nl=False)
+        lead = sep
+    click.echo(tail)
 
 
 if __name__ == "__main__":

@@ -40,3 +40,14 @@ def is_real(value) -> bool:
     if isinstance(value, float):  # the common case, without the ABC check
         return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_float_range(name: str, value: int) -> None:
+    """Raise DomainError, naming ``value``, for an integer too large for a float:
+    the formulas would otherwise stop with an OverflowError."""
+    try:
+        float(value)
+    except OverflowError:
+        from decimal import Context, Decimal  # only here: str() of a long int may raise
+        shown = Context(prec=17).normalize(Decimal(value))
+        raise DomainError(f"{name} = {shown:g} lies beyond the float range") from None

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent ANOVA oracle, matrix constructors, and
-JSON schema loading."""
+"""Shared test helpers: independent ANOVA oracle, the reference F-report
+scanner, matrix constructors, and JSON schema loading."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import rmbayes
+from rmbayes.apa import ReportedStat
 from rmbayes.errors import DomainError
 
 SRC = str(Path(rmbayes.__file__).resolve().parents[1])
@@ -76,6 +78,47 @@ def reference_read_wide_csv(path) -> list[list[float]]:
         except ValueError:
             raise DomainError(f"line {line} contains a non-numeric cell") from None
     return data
+
+
+# The scanner as first written, starting at the class [Ff], frozen as the reference
+# that parse_reports, which starts its search at the literal "(", must equal
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_F_REPORT = re.compile(
+    rf"[Ff]\s*\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
+    rf"(?:\s*,\s*[pP]\s*([=<])\s*({_NUMBER}))?"
+)
+_HALF_READ = re.compile(r"[eE]\S?\d|,\d")
+
+
+def reference_parse_reports(text: str) -> list[ReportedStat]:
+    """``parse_reports`` as one regex search from the leading ``[Ff]``."""
+    text = text.replace("\u2212", "-")
+    reports = []
+    for match in _F_REPORT.finditer(text):
+        if _HALF_READ.match(text, match.end()):
+            continue
+        df1 = float(match.group(1))
+        df2 = float(match.group(2))
+        if df1 < 1.0 or df2 < 1.0:
+            continue
+        f_value = float(match.group(4))
+        p_value = None
+        p_is_upper = False
+        if match.group(6) is not None:
+            candidate = float(match.group(6))
+            if 0.0 <= candidate <= 1.0:
+                p_value = candidate
+                p_is_upper = match.group(5) == "<"
+        reports.append(ReportedStat(
+            f_value=f_value,
+            df1=df1,
+            df2=df2,
+            p_reported=p_value,
+            f_is_upper_bound=match.group(3) == "<",
+            p_is_upper_bound=p_is_upper,
+            span=match.span(),
+        ))
+    return reports
 
 
 def build_two_condition_matrix(ss_treatment: float, ss_subjects: float,

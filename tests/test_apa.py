@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmbayes import DesignSpec, infer_rm_design, parse_reports, ReportedStat
-from rmbayes.errors import DesignInferenceError
+from rmbayes.errors import DesignInferenceError, DomainError
+
+from conftest import reference_parse_reports
 
 # numbers whose exponent, if any, has a "-" that a typeset text would write as U+2212
 _NUMBER_WITH_MINUS = st.builds(
@@ -15,6 +17,37 @@ _REPORT_WITH_MINUS = st.builds(
     "F({}, {}) {} {}{}".format, _NUMBER_WITH_MINUS, _NUMBER_WITH_MINUS, _RELATION,
     _NUMBER_WITH_MINUS,
     st.one_of(st.just(""), st.builds(", p {} {}".format, _RELATION, _NUMBER_WITH_MINUS)))
+
+
+# characters that make or break a report, and whitespace that \s and str.isspace
+# both take, beyond the ASCII ones
+_WHITESPACE = " \n\t\x0b\x1c\x85\xa0\u2003\u3000"
+_ADVERSARIAL = "Ff(),=<pP.eE+-\u22120123456789abxyzQ" + _WHITESPACE
+_GAP = st.text(alphabet=_WHITESPACE, max_size=2)
+_FRAGMENT_NUMBER = st.builds(
+    "{}{}".format, st.sampled_from(["1", "22", "0", "38", ".5", "2.", "4.12", "\u0663"]),
+    st.sampled_from([""] * 8 + ["e2", "E-1", "e\u22122", "e", "e+", "e400", ",3", "e\u20132"]))
+
+
+def _cut(parts: tuple, cut) -> str:
+    text = "".join(parts)
+    return text if cut is None else text[:cut]
+
+
+# a report with random gaps, perhaps without its F, perhaps cut short; noise alone
+# almost never holds a report
+_FRAGMENT = st.builds(
+    _cut,
+    st.tuples(st.sampled_from(["F", "f", "F", "", "x", "FF"]), _GAP, st.just("("), _GAP,
+              _FRAGMENT_NUMBER, _GAP, st.just(","), _GAP, _FRAGMENT_NUMBER, _GAP, st.just(")"),
+              _GAP, st.sampled_from("=<"), _GAP, _FRAGMENT_NUMBER,
+              st.one_of(st.just(""), st.tuples(
+                  _GAP, st.just(","), _GAP, st.sampled_from("pP"), _GAP,
+                  st.sampled_from("=<"), _GAP, _FRAGMENT_NUMBER).map("".join))),
+    st.one_of(st.none(), st.none(), st.integers(min_value=0, max_value=40)))
+_ADVERSARIAL_TEXT = st.lists(
+    st.one_of(_FRAGMENT, st.text(alphabet=_ADVERSARIAL, max_size=8)), min_size=1,
+    max_size=8).map("".join)
 
 
 class TestParseReports:
@@ -132,6 +165,22 @@ class TestParseReports:
             previous_end = end
             assert stat.df1 >= 1 and stat.df2 >= 1 and stat.f_value >= 0
 
+    @settings(max_examples=500, deadline=None)
+    @given(_ADVERSARIAL_TEXT)
+    def test_matches_the_reference_scanner(self, text):
+        assert parse_reports(text) == reference_parse_reports(text)
+
+    @pytest.mark.parametrize("text", [
+        "F\u3000(2, 38) = 1 and f\x85\x1c(1, 22) = 4", "F\n\t (2, 38) < 1", "(2, 38) = 1",
+        "xF (2, 38) = 1", "F x(2, 38) = 1", "(1, 2) = 3F(2, 38) = 1", "FF(2,38)=1",
+        "(2, 38) = 1 F", "\u3000(2, 38) = 1 f",  # no F before the "(", one at the end
+    ])
+    def test_whitespace_before_the_parenthesis(self, text):
+        reports = parse_reports(text)
+        assert reports == reference_parse_reports(text)
+        for stat in reports:
+            assert text[stat.span[0]] in "Ff"
+
 
 class TestInferDesign:
     def test_worked_dfs(self):
@@ -153,6 +202,13 @@ class TestInferDesign:
     def test_overflowing_dfs_rejected_as_not_finite(self):
         (stat,) = parse_reports("F(1, 1e400) = 2")
         with pytest.raises(DesignInferenceError, match=r"\(1, inf\) are not finite"):
+            infer_rm_design(stat)
+
+    def test_design_past_the_float_range_rejected(self):
+        # n*(k-1) = df1 + df2 rounds past the largest float
+        (stat,) = parse_reports("F(9.9792015476736e+291, 1.7976931348623157e+308) = 1")
+        with pytest.raises(DomainError,
+                           match=r"n\*\(k-1\) = 1\.7976931348623158e\+308 lies beyond the float"):
             infer_rm_design(stat)
 
     def test_df2_smaller_than_df1_rejected(self):

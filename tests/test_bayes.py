@@ -1,6 +1,7 @@
 """Bayes factor routes: worked examples, algebraic identities, properties."""
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -115,6 +116,21 @@ class TestMinimalRm:
         with pytest.raises(DomainError):
             bf01_minimal_rm(1.0, (23, 2))
 
+    @pytest.mark.parametrize("n, k, shown", [
+        pytest.param(10**400, 3, "2e+400", id="n"),
+        pytest.param(2, 10**400, "2e+400", id="k"),
+        pytest.param(2**1024, 2, "1.7976931348623159e+308", id="n-2**1024"),
+        pytest.param(10**5000, 2, "1e+5000", id="n-past-str"),  # str() of this int raises
+    ])
+    def test_design_past_the_float_range_rejected(self, n, k, shown):
+        with pytest.raises(DomainError, match=re.escape(f"n*(k-1) = {shown} lies beyond the float")):
+            DesignSpec(n=n, k=k)
+
+    def test_largest_design_inside_the_float_range_evaluates(self):
+        # n(k-1) = 2**1023; F / (n-1) is tiny, so ln(1 + F/(n-1)) * n(k-1) is F
+        result = bf01_minimal_rm(2.0, DesignSpec(n=2**1023, k=2))
+        assert result.log_bf01 == pytest.approx(0.5 * (1023 * math.log(2) - 2.0), rel=1e-12)
+
     @pytest.mark.parametrize("f_stat,prior", [
         ("1.3", 0.5), (None, 0.5), (True, 0.5), (1.3, None), (1.3, "0.5"),
     ])
@@ -153,6 +169,15 @@ class TestBetweenSubjects:
     ])
     def test_invalid_inputs(self, args):
         with pytest.raises(DomainError):
+            bf01_between(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        pytest.param((2.0, 2, 10**400, 10**400), "df2 = 1e+400", id="df2"),
+        pytest.param((2.0, 10**400, 2, 10**400), "df1 = 1e+400", id="df1"),
+        pytest.param((2.0, 2, 10, 2**1024), "n_obs = 1.7976931348623159e+308", id="n_obs"),
+    ])
+    def test_counts_past_the_float_range_rejected(self, args, name):
+        with pytest.raises(DomainError, match=re.escape(f"{name} lies beyond the float range")):
             bf01_between(*args)
 
     def test_numpy_integers_accepted(self):

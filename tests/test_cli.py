@@ -213,6 +213,16 @@ class TestBfSs:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["bf", "--f", "2"], ["bf-ss", "--sst", "100", "--ssa", "10", "--ssb", "50"],
+], ids=["bf", "bf-ss"])
+def test_design_past_the_float_range_exit_2(runner, command):
+    result = runner.invoke(main, [*command, "--n", "1" + "0" * 400, "--k", "3"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: n*(k-1) = 2e+400 lies beyond the float range\n"
+
+
 class TestAnova:
     def test_reported_dataset_rendering(self, runner, tmp_path):
         path = tmp_path / "shift.csv"
@@ -587,6 +597,11 @@ class TestParse:
              "are required\n"
              "F(2, 38) < 1                 n=20  k=3  BF01 >= 14.339  p(H0|y) = 0.935  "
              "(lower bound: F reported as an upper bound)\n"),
+            # more lines than one write batch holds
+            ("F(1, 22) = 1.336 and F(2, 39) = 3.1; " * 1001,
+             ("F(1, 22) = 1.336             n=23  k=2  BF01 = 2.435  p(H0|y) = 0.709\n"
+              "F(2, 39) = 3.1               not inferable: df2=39 is not divisible by df1=2\n")
+             * 1001),
         ]:
             result = invoke(runner, ["parse"], input=text)
             assert result.exit_code == 0
@@ -594,6 +609,16 @@ class TestParse:
             assert "not inferable" in result.output
             assert "divisible" in result.output
             assert result.output == expected
+
+    def test_design_past_the_float_range_is_not_inferable(self, runner):
+        # n*(k-1) = df1 + df2 rounds past the largest float; the next report is kept
+        result = invoke(runner, ["parse"], input="F(9.9792015476736e+291, "
+                        "1.7976931348623157e+308) = 1 and F(1, 22) = 1.336")
+        assert result.exit_code == 0
+        assert result.output == (
+            "F(9.9792e+291, 1.79769e+308) = 1 not inferable: "
+            "n*(k-1) = 1.7976931348623158e+308 lies beyond the float range\n"
+            "F(1, 22) = 1.336             n=23  k=2  BF01 = 2.435  p(H0|y) = 0.709\n")
 
     def test_upper_bound_report_is_lower_bound_on_bf(self, runner):
         result = invoke(runner, ["parse"], input="F(2,38)<1")
@@ -671,6 +696,10 @@ class TestParse:
                      ("--prior-h0", "0.25"), id="prior-0.25"),
         pytest.param("F(1, 22) = 1e400, p < .001", (), id="infinite-f"),
         pytest.param("F(1, 100000) = 1e5", (), id="saturated-bf"),
+        pytest.param("F(2, 38) = 1.7e308", (), id="infinite-log-bf"),
+        pytest.param("F(1e400, 2) = 3", (), id="infinite-df1"),
+        pytest.param("F(9.9792015476736e+291, 1.7976931348623157e+308) = 1", (),
+                     id="design-past-the-float-range"),
         pytest.param("F(2, 38) < 1 and F(2,38)<1, p < .5", (), id="f-bounds"),
         pytest.param("F(1, 22) = 1.336 and F(1, 22) = 1.336, p = 1.5", (), id="p-missing-or-out"),
         pytest.param("F(1.46, 32.1) = 5.02, p = .03 and F(2, 39) = 3.1", (),
