@@ -60,8 +60,8 @@ def rm_anova(data) -> AnovaTable:
     Raises
     ------
     DomainError
-        If the matrix is not 2-d, is smaller than 2x2, or has non-finite
-        entries.
+        If the matrix is not 2-d, is smaller than 2x2, has non-finite
+        entries, or its sums of squares overflow the float range.
     DegenerateResidualError
         If the residual sum of squares is zero while the treatment sum of
         squares is not (the F ratio would be unbounded).  A matrix with
@@ -76,9 +76,13 @@ def rm_anova(data) -> AnovaTable:
     if not np.isfinite(values).all():
         raise DomainError("data matrix contains non-finite entries")
 
-    ss_treatment, ss_subjects, ss_residual, ss_total, f_stat = (
-        float(column[0]) for column in _decompose(values[np.newaxis])
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        ss_treatment, ss_subjects, ss_residual, ss_total, f_stat = (
+            float(column[0]) for column in _decompose(values[np.newaxis])
+        )
+    if not math.isfinite(ss_total):
+        raise DomainError("the sums of squares overflow the float range; "
+                          "rescale the data matrix")
     if math.isinf(f_stat):
         raise DegenerateResidualError(
             "residual sum of squares is zero but the treatment sum of squares "

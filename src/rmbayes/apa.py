@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bayes import DesignSpec
-from .errors import DesignInferenceError
+from .errors import DesignInferenceError, check_float_range
 
 __all__ = ["ReportedStat", "infer_rm_design", "parse_reports"]
 
@@ -57,6 +57,11 @@ def parse_reports(text: str) -> list[ReportedStat]:
     are matches that end inside a number, e.g. ``F(1, 22) = 4,3``.
     A p value outside [0, 1] is recorded as absent.
     """
+    return [ReportedStat(*fields) for fields in _scan(text)]
+
+
+def _scan(text: str) -> list[tuple]:
+    """``parse_reports`` as one tuple of ``ReportedStat`` fields per report."""
     # U+2212 and "-" are one character each, so spans still index ``text``
     text = text.replace("\u2212", "-")
     reports = []
@@ -77,8 +82,8 @@ def parse_reports(text: str) -> list[ReportedStat]:
             if 0.0 <= candidate <= 1.0:
                 p_reported = candidate
                 p_is_upper = p_relation == "<"
-        reports.append(ReportedStat(float(f_value), df1, df2, p_reported, f_relation == "<",
-                                    p_is_upper, (start - 1, match.end())))
+        reports.append((float(f_value), df1, df2, p_reported, f_relation == "<",
+                        p_is_upper, (start - 1, match.end())))
     return reports
 
 
@@ -97,19 +102,25 @@ def infer_rm_design(stat: ReportedStat) -> DesignSpec:
         uncorrected one-factor repeated-measures ANOVA, and n and k must be
         supplied manually.
     """
-    if not (math.isfinite(stat.df1) and math.isfinite(stat.df2)):
+    return DesignSpec(*_rm_design(stat.df1, stat.df2))
+
+
+def _rm_design(df1: float, df2: float) -> tuple[int, int]:
+    """``infer_rm_design`` on the dfs alone, as (n, k), with ``DesignSpec``'s
+    float-range check on n*(k-1) and the errors of both."""
+    if not (math.isfinite(df1) and math.isfinite(df2)):
+        raise DesignInferenceError(f"degrees of freedom ({df1:g}, {df2:g}) are not finite")
+    if not float(df1).is_integer() or not float(df2).is_integer():
         raise DesignInferenceError(
-            f"degrees of freedom ({stat.df1:g}, {stat.df2:g}) are not finite")
-    if not float(stat.df1).is_integer() or not float(stat.df2).is_integer():
-        raise DesignInferenceError(
-            f"decimal degrees of freedom ({stat.df1:g}, {stat.df2:g}) suggest a "
+            f"decimal degrees of freedom ({df1:g}, {df2:g}) suggest a "
             "sphericity correction; the uncorrected integer dfs are required"
         )
-    df1, df2 = int(stat.df1), int(stat.df2)
+    df1, df2 = int(df1), int(df2)
     if df2 % df1 != 0:
         raise DesignInferenceError(f"df2={df2} is not divisible by df1={df1}")
     n = df2 // df1 + 1
     k = df1 + 1
     if n < 2:
         raise DesignInferenceError(f"dfs ({df1}, {df2}) imply fewer than 2 subjects")
-    return DesignSpec(n=n, k=k)
+    check_float_range("n*(k-1)", n * (k - 1))
+    return n, k

@@ -122,6 +122,12 @@ class SummaryStats:
         if sst - ssa - ssb <= 0:
             raise DomainError("sums of squares imply a nonpositive residual "
                               "(ss_total - ss_treatment - ss_subjects must be positive)")
+        if not isinstance(self.design, DesignSpec):
+            raise DomainError(f"design must be a DesignSpec, got {type(self.design).__name__}")
+        # the largest log argument of the Nathoo-Masson formula: n*(sst-ssa)/ssb is no larger
+        if not math.isfinite(self.design.n * sst / ssb):
+            raise DomainError(f"n*ss_total/ss_subjects lies beyond the float range (n="
+                              f"{self.design.n}, ss_total={sst!r}, ss_subjects={ssb!r})")
 
     @property
     def ss_residual(self) -> float:
@@ -171,21 +177,13 @@ def _log_bf01_nathoo(n: int, k: int, ssa, ssb, sst, xp=math):
     return 0.5 * delta_bic10
 
 
-def _result(method: Method, log_bf01: float, prior_h0: float) -> EvidenceResult:
+def _evidence(log_bf01: float, prior_h0: float) -> tuple:
+    """The fields of ``EvidenceResult`` after ``method``, as a tuple."""
     bf01, hi = _saturating_exp(log_bf01)
     bf10, lo = _saturating_exp(-log_bf01)
     posterior_h0 = _posterior_h0(log_bf01, prior_h0)
-    return EvidenceResult(
-        method=method,
-        log_bf01=log_bf01,
-        bf01=bf01,
-        bf10=bf10,
-        delta_bic10=2.0 * log_bf01,
-        posterior_h0=posterior_h0,
-        posterior_h1=1.0 - posterior_h0,
-        prior_h0=prior_h0,
-        saturated=hi or lo,
-    )
+    return (log_bf01, bf01, bf10, 2.0 * log_bf01, posterior_h0, 1.0 - posterior_h0, prior_h0,
+            hi or lo)
 
 
 def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
@@ -205,7 +203,8 @@ def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
         raise DomainError(f"need at least 2 observations, got n_obs={n_obs!r}")
     for name, value in (("df1", dfs[0]), ("df2", dfs[1]), ("n_obs", n)):
         check_float_range(name, value)
-    return _result(Method.BETWEEN_SUBJECTS, _log_bf01_between(f_stat, *dfs, n), prior_h0)
+    log_bf01 = _log_bf01_between(f_stat, *dfs, n)
+    return EvidenceResult(Method.BETWEEN_SUBJECTS, *_evidence(log_bf01, prior_h0))
 
 
 def bf01_minimal_rm(f_stat: float, design: DesignSpec,
@@ -222,7 +221,7 @@ def bf01_minimal_rm(f_stat: float, design: DesignSpec,
     _check_f(f_stat)
     _check_prior(prior_h0)
     log_bf01 = _log_bf01_minimal_rm(f_stat, design.n, design.k)
-    return _result(Method.MINIMAL_RM, log_bf01, prior_h0)
+    return EvidenceResult(Method.MINIMAL_RM, *_evidence(log_bf01, prior_h0))
 
 
 def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResult:
@@ -238,7 +237,7 @@ def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResu
     _check_prior(prior_h0)
     log_bf01 = _log_bf01_nathoo(stats.design.n, stats.design.k, stats.ss_treatment,
                                 stats.ss_subjects, stats.ss_total)
-    return _result(Method.NATHOO_MASSON, log_bf01, prior_h0)
+    return EvidenceResult(Method.NATHOO_MASSON, *_evidence(log_bf01, prior_h0))
 
 
 def choose_model(result: EvidenceResult) -> ModelChoice:

@@ -23,14 +23,19 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .apa import parse_reports, infer_rm_design
+from .apa import _rm_design, _scan
+# unused here: perfbench's trace points patch them as rmbayes.cli globals (ROADMAP item 3)
+from .apa import infer_rm_design, parse_reports
 from .bayes import (
     DesignSpec,
     Method,
     ModelChoice,
     SummaryStats,
+    _check_f,
     _check_prior,
     _chooses_h0,
+    _evidence,
+    _log_bf01_minimal_rm,
     _saturating_exp,
     bf01_minimal_rm,
     delta_bic_nathoo,
@@ -466,14 +471,17 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
 
 
 def _report_line(stat, design, evidence, error) -> str:
-    """One report of the text listing of ``parse``."""
-    relation = "<" if stat.f_is_upper_bound else "="
-    left = f"F({stat.df1:g}, {stat.df2:g}) {relation} {stat.f_value:g}"
+    """One report of the text listing of ``parse``, from the field tuples of
+    ``_scan``, ``_rm_design`` (n, k) and ``_evidence``."""
+    f_value, df1, df2, _, f_is_upper_bound, _, _ = stat
+    relation = "<" if f_is_upper_bound else "="
+    left = f"F({df1:g}, {df2:g}) {relation} {f_value:g}"
     if evidence is not None:
-        bound = ">=" if stat.f_is_upper_bound else "="
-        note = "  (lower bound: F reported as an upper bound)" if stat.f_is_upper_bound else ""
-        return (f"{left:<28} n={design.n}  k={design.k}  BF01 {bound} {_fmt(evidence.bf01)}  "
-                f"p(H0|y) = {_fmt(evidence.posterior_h0)}{note}")
+        bound = ">=" if f_is_upper_bound else "="
+        note = "  (lower bound: F reported as an upper bound)" if f_is_upper_bound else ""
+        _, bf01, _, _, posterior_h0, _, _, _ = evidence
+        return (f"{left:<28} n={design[0]}  k={design[1]}  BF01 {bound} {_fmt(bf01)}  "
+                f"p(H0|y) = {_fmt(posterior_h0)}{note}")
     if error is not None:
         return f"{left:<28} not inferable: {error}"
     return left
@@ -508,31 +516,32 @@ _REPORT_NOT_INFERABLE = _entry_template("null", "%s", "null")
 _REPORT_LISTED = _entry_template("null", "null", "null")
 _JSON_BOOL = {False: "false", True: "true"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_MINIMAL_RM = encode_basestring_ascii(Method.MINIMAL_RM.value)  # parse's only route
 _REPORT_BATCH = 1000  # entries per write: bounded memory, few flushes
 
 
 def _report_entry_json(stat, design, evidence, error) -> str:
-    """One ``reports`` entry, ``vars(stat)`` plus the design, evidence and error,
-    in the bytes ``json.dumps(indent=2, sort_keys=True)`` of the report has."""
+    """One ``reports`` entry, the ``ReportedStat`` fields plus the design, evidence
+    and error, in the bytes ``json.dumps(indent=2, sort_keys=True)`` of the report
+    has. ``stat``, ``design`` and ``evidence`` are the field tuples of ``_scan``,
+    ``_rm_design`` (n, k) and ``_evidence``."""
+    f_value, df1, df2, p_reported, f_is_upper_bound, p_is_upper_bound, span = stat
     # %s writes a finite float as its repr, as json does; p_reported and prior_h0
     # lie in [0, 1], and the sum is not finite when another float is not
-    check = stat.df1 + stat.df2 + stat.f_value
+    check = df1 + df2 + f_value
     if evidence is not None:
+        log_bf01, bf01, bf10, delta_bic10, posterior_h0, posterior_h1, prior_h0, saturated = (
+            evidence)
         template = _REPORT_EVALUATED
-        values = (design.k, design.n, stat.df1, stat.df2, evidence.bf01, evidence.bf10,
-                  evidence.delta_bic10, evidence.log_bf01,
-                  encode_basestring_ascii(evidence.method), evidence.posterior_h0,
-                  evidence.posterior_h1, evidence.prior_h0, _JSON_BOOL[evidence.saturated])
-        check += (evidence.bf01 + evidence.bf10 + evidence.delta_bic10 + evidence.log_bf01
-                  + evidence.posterior_h0 + evidence.posterior_h1)
+        values = (design[1], design[0], df1, df2, bf01, bf10, delta_bic10, log_bf01,
+                  _JSON_MINIMAL_RM, posterior_h0, posterior_h1, prior_h0, _JSON_BOOL[saturated])
+        check += bf01 + bf10 + delta_bic10 + log_bf01 + posterior_h0 + posterior_h1
     elif error is not None:
-        template, values = _REPORT_NOT_INFERABLE, (
-            stat.df1, stat.df2, encode_basestring_ascii(error))
+        template, values = _REPORT_NOT_INFERABLE, (df1, df2, encode_basestring_ascii(error))
     else:
-        template, values = _REPORT_LISTED, (stat.df1, stat.df2)
-    values += (_JSON_BOOL[stat.f_is_upper_bound], stat.f_value,
-               _JSON_BOOL[stat.p_is_upper_bound],
-               "null" if stat.p_reported is None else stat.p_reported, *stat.span)
+        template, values = _REPORT_LISTED, (df1, df2)
+    values += (_JSON_BOOL[f_is_upper_bound], f_value, _JSON_BOOL[p_is_upper_bound],
+               "null" if p_reported is None else p_reported, *span)
     if not math.isfinite(check):
         values = tuple(_json_float(v) if type(v) is float else v for v in values)
     return template % values
@@ -566,15 +575,17 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.start is its byte offset
         _validation_exit(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} ({exc.reason})")
-    stats = parse_reports(text)
 
+    # infer_rm_design and bf01_minimal_rm on field tuples: the same checks, no dataclasses
     evaluated = []
-    for stat in stats:
+    for stat in _scan(text):
         design = evidence = error = None
         if assume_rm:
             try:
-                design = infer_rm_design(stat)
-                evidence = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
+                f_value, df1, df2 = stat[:3]
+                design = _rm_design(df1, df2)
+                _check_f(f_value)
+                evidence = _evidence(_log_bf01_minimal_rm(f_value, *design), prior_h0)
             except DomainError as exc:
                 design, error = None, str(exc)
         evaluated.append((stat, design, evidence, error))

@@ -37,6 +37,11 @@ class TestRmAnova:
         assert table.p_value == pytest.approx(1.0 - math.sqrt(0.6), abs=1e-10)
         assert (table.df_treatment, table.df_subjects, table.df_residual) == (1, 2, 2)
 
+    def test_overflowing_sums_of_squares_raise(self):
+        # squares of ~1e200 overflow; numpy's overflow warnings would fail the test
+        with pytest.raises(DomainError, match="sums of squares overflow the float range"):
+            rm_anova([[1e200, 2e200, 3e200], [4e200, 1e200, 5e200], [2e200, 6e200, 1e200]])
+
     def test_matches_definitional_sums(self):
         rng = np.random.default_rng(176)
         checked = 0

@@ -246,6 +246,19 @@ class TestNathooMasson:
             SummaryStats(ss_treatment=ssa, ss_subjects=ssb, ss_total=sst,
                          design=DESIGN_23_2)
 
+    def test_sums_past_the_float_range_rejected(self):
+        # n*SST/SSB and n*(SST-SSA)/SSB overflow, and the formula's inf - inf was NaN
+        message = ("n*ss_total/ss_subjects lies beyond the float range "
+                   "(n=10, ss_total=1e+308, ss_subjects=1e-300)")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SummaryStats(ss_treatment=1.0, ss_subjects=1e-300, ss_total=1e308,
+                         design=DesignSpec(n=10, k=2))
+
+    def test_design_must_be_a_design_spec(self):
+        with pytest.raises(DomainError, match="design must be a DesignSpec, got tuple"):
+            SummaryStats(ss_treatment=739.0, ss_subjects=103984.0, ss_total=116399.0,
+                         design=(23, 2))
+
     def test_numpy_numbers_stored_as_float(self):
         stats = SummaryStats(ss_treatment=np.int64(739), ss_subjects=np.float32(103984.0),
                              ss_total=116399, design=DESIGN_23_2)
@@ -268,7 +281,7 @@ class TestNathooMasson:
 
 
 def posteriors(bf01, prior_h0):
-    """(p(H0|y), p(H1|y)) from the posterior log odds, as _result derives them."""
+    """(p(H0|y), p(H1|y)) from the posterior log odds, as _evidence derives them."""
     posterior_h0 = _posterior_h0(math.log(bf01), prior_h0)
     return posterior_h0, 1.0 - posterior_h0
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmbayes import SimulationConfig, run_cell
 from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
-from rmbayes.bayes import EvidenceResult, _saturating_exp, bf01_minimal_rm
+from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
 
@@ -66,6 +66,27 @@ def reference_parse_json(text, manifest, assume_rm=True, prior_h0=0.5):
                 entry["error"] = str(exc)
         entries.append(entry)
     return json.dumps({"manifest": manifest, "reports": entries}, indent=2, sort_keys=True) + "\n"
+
+
+def reference_parse_text(text, assume_rm=True, prior_h0=0.5):
+    """The text listing of ``parse``, built from the public dataclass chain."""
+    lines = []
+    for stat in parse_reports(text):
+        relation = "<" if stat.f_is_upper_bound else "="
+        line = f"F({stat.df1:g}, {stat.df2:g}) {relation} {stat.f_value:g}"
+        if assume_rm:
+            try:
+                design = infer_rm_design(stat)
+                result = bf01_minimal_rm(stat.f_value, design, prior_h0=prior_h0)
+            except DomainError as exc:
+                line = f"{line:<28} not inferable: {exc}"
+            else:
+                bound, note = ((">=", "  (lower bound: F reported as an upper bound)")
+                               if stat.f_is_upper_bound else ("=", ""))
+                line = (f"{line:<28} n={design.n}  k={design.k}  BF01 {bound} "
+                        f"{result.bf01:.3f}  p(H0|y) = {result.posterior_h0:.3f}{note}")
+        lines.append(line)
+    return "".join(f"{line}\n" for line in lines) if lines else "no F reports found\n"
 
 
 def assert_parse_json_matches_reference(runner, text, options=()):
@@ -207,6 +228,14 @@ class TestBfSs:
                                             "--json"]).output)
         assert set(via_f["evidence"]) == set(via_ss["evidence"])
 
+    def test_sums_past_the_float_range_exit_2(self, runner):
+        result = runner.invoke(main, ["bf-ss", "--sst", "1e308", "--ssa", "1",
+                                      "--ssb", "1e-300", "--n", "10", "--k", "2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: n*ss_total/ss_subjects lies beyond the float range "
+                                 "(n=10, ss_total=1e+308, ss_subjects=1e-300)\n")
+
     def test_degenerate_sums_exit_2(self, runner):
         result = runner.invoke(main, ["bf-ss", "--sst", "100", "--ssa", "10",
                                       "--ssb", "0", "--n", "10", "--k", "2"])
@@ -303,6 +332,16 @@ class TestAnova:
             "dBIC10      : -11.645\n"
             "p(H0 | y)   : 0.003\n"
             "p(H1 | y)   : 0.997   (prior p(H0) = 0.5)\n")
+
+    def test_overflowing_sums_of_squares_exit_2_without_warnings(self, runner, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,c\n1e200,2e200,3e200\n4e200,1e200,5e200\n2e200,6e200,1e200\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["anova", str(path), "--bf"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: the sums of squares overflow the float range; "
+                                 "rescale the data matrix\n")
 
     def test_ragged_rows_exit_2(self, runner, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -715,6 +754,38 @@ class TestParse:
         (), ("--no-assume-rm",), ("--prior-h0", "0.25")]))
     def test_json_bytes_match_reference(self, text, options):
         assert_parse_json_matches_reference(CliRunner(), text, options)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_REPORT_TEXT, options=st.sampled_from([
+        (), ("--no-assume-rm",), ("--prior-h0", "0.25")]))
+    def test_text_listing_matches_reference(self, text, options):
+        result = CliRunner().invoke(main, ["parse", *options], input=text,
+                                    catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.stdout == reference_parse_text(
+            text, assume_rm="--no-assume-rm" not in options,
+            prior_h0=0.25 if "--prior-h0" in options else 0.5)
+
+    def test_reports_are_evaluated_without_the_result_dataclasses(self, runner, monkeypatch):
+        """parse runs on field tuples; ReportedStat, DesignSpec and EvidenceResult
+        are the public view, built for none of the reports."""
+        text = ("F(1, 22) = 1.336, p = .26 and F(2, 39) = 3.1 and F(1.46, 32.1) = 5.02 "
+                "and F(2,38)<1 and F(1, 22) = 1e400 and F(9.9792015476736e+291, "
+                "1.7976931348623157e+308) = 1")
+        usual = {options: invoke(runner, ["parse", *options], input=text).stdout
+                 for options in [(), ("--json",)]}
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built by parse")
+
+        for cls in (ReportedStat, DesignSpec, EvidenceResult):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        result = invoke(runner, ["parse"], input=text)
+        assert result.exit_code == 0
+        assert result.stdout == usual[()]
+        result = invoke(runner, ["parse", "--json"], input=text)
+        assert result.exit_code == 0
+        assert json_without_timestamp(result.stdout) == json_without_timestamp(usual[("--json",)])
 
     def test_json_writer_keys_track_the_dataclasses(self):
         """A new result field fails here instead of silently missing from the JSON."""
