@@ -122,7 +122,9 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     # numpy reductions sum pairwise, which keeps the partition identity
     # SSA + SSB + SSR = SST tight even for large matrices
     grand = stack.mean(axis=(1, 2))
-    col_dev = stack.mean(axis=1) - grand[:, np.newaxis]
+    # mean(axis=1) to the bit, faster: both add the n rows one after another
+    col_dev = (np.ascontiguousarray(stack.transpose(1, 0, 2)).sum(axis=0) / n
+               - grand[:, np.newaxis])
     row_dev = stack.mean(axis=2) - grand[:, np.newaxis]
     ss_treatment = n * _row_dots(col_dev)
     ss_subjects = k * _row_dots(row_dev)

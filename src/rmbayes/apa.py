@@ -116,6 +116,8 @@ def _rm_design(df1: float, df2: float) -> tuple[int, int]:
             "sphericity correction; the uncorrected integer dfs are required"
         )
     df1, df2 = int(df1), int(df2)
+    if df1 < 1:
+        raise DesignInferenceError(f"df1={df1} is below 1, so ({df1}, {df2}) has no conditions")
     if df2 % df1 != 0:
         raise DesignInferenceError(f"df2={df2} is not divisible by df1={df1}")
     n = df2 // df1 + 1

@@ -17,12 +17,14 @@ the placement of the condition means, one for the subject/noise draws.
 Results are therefore bit-identical whether cells run sequentially or on any
 number of worker processes.  Each substream is the numpy PCG64 ``Generator``
 of ``np.random.default_rng(seed)``; :func:`run_cell` builds them without
-``default_rng`` by doing numpy's ``SeedSequence`` hashing for a whole block
-of seeds at once in uint32 array arithmetic, and checks once per process
-that the result equals ``default_rng``.  Normal deviates come from the
-ziggurat method, subject effects before the noise matrix, and are scaled
-afterwards, which gives the same values as ``Generator.normal`` with that
-scale.
+``default_rng`` by doing numpy's ``SeedSequence`` hashing for all substreams
+of a block at once in uint32 array arithmetic.  The profile uniforms come
+from a vectorised PCG64 over the block (:func:`_pcg64_uniforms`), with no
+``Generator`` at all.  Both are checked once per process against
+``default_rng``.  Normal deviates come from the ziggurat method, subject
+effects before the noise matrix, and are scaled afterwards, which gives the
+same values as ``Generator.normal`` with that scale.  The posterior
+five-number summaries follow numpy's linear percentile rule.
 
 :func:`run_cell` works in batched passes over blocks of replications.  The
 substreams, the datasets and the model choices (hence accuracies and
@@ -95,6 +97,8 @@ _SEED_SEQ_MIX_MULT_L = 0xCA01F9DD
 _SEED_SEQ_MIX_MULT_R = 0x4973F715
 # both 32-bit halves nonzero, so the check covers the whole entropy pool
 _SEED_SEQ_CHECK_SEED = 0x9E3779B97F4A7C15
+# numpy's PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,16 @@ class FiveNumberSummary:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FiveNumberSummary":
-        q = np.percentile(values, [0, 25, 50, 75, 100])
-        return cls(*(float(v) for v in q))
+        """``np.percentile(values, [0, 25, 50, 75, 100])`` of NaN-free values, by
+        numpy's linear rule on Python floats: np.percentile loads numpy.ma."""
+        ordered = np.sort(values).tolist()
+        last = len(ordered) - 1
+
+        def percentile(q: float) -> float:
+            low = int(last * q)
+            a, b, g = ordered[low], ordered[min(low + 1, last)], last * q - low
+            return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+        return cls(*map(percentile, (0.0, 0.25, 0.5, 0.75, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,14 +314,47 @@ def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
+def _pcg64_uniforms(states: np.ndarray, out: np.ndarray) -> None:
+    """Fill row r of the 2-d ``out`` with the first ``Generator.random`` draws
+    of the ``default_rng`` stream whose :func:`_seed_sequence_states` row is
+    row r of ``states``: numpy's PCG64 seeding, step, XSL-RR output and
+    ``(word >> 11) * 2**-53``, on a 128-bit state held as (hi, lo) uint64
+    arrays, with products built from 32-bit limbs."""
+    mask32 = np.uint64(_MASK32)
+    mult_lo, mult_hi = np.uint64(_PCG64_MULT & _MASK64), np.uint64(_PCG64_MULT >> 64)
+    limb0, limb1 = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
+    inc_hi = states[:, 2] << 1 | states[:, 3] >> 63
+    inc_lo = states[:, 3] << 1 | 1
+
+    def step(hi, lo):
+        """The state times the multiplier plus the increment, modulo 2**128."""
+        a0, a1 = lo & mask32, lo >> 32
+        p00, p01, p10 = a0 * limb0, a0 * limb1, a1 * limb0
+        mid = (p00 >> 32) + (p01 & mask32) + (p10 & mask32)
+        hi = (a1 * limb1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+              + lo * mult_hi + hi * mult_lo)
+        lo = lo * mult_lo + inc_lo
+        return hi + inc_hi + (lo < inc_lo), lo
+
+    # from state 0 the first step gives the increment; add the seed words, then step
+    lo = inc_lo + states[:, 1]
+    hi, lo = step(inc_hi + states[:, 0] + (lo < inc_lo), lo)
+    for column in range(out.shape[1]):
+        hi, lo = step(hi, lo)
+        word, rot = hi ^ lo, hi >> 58
+        word = word >> rot | word << (64 - rot & 63)
+        out[:, column] = (word >> 11) * 2.0 ** -53
+
+
 @functools.cache
 def _substream_factory():
     """A function from one row of :func:`_seed_sequence_states` to the
     ``Generator`` that ``np.random.default_rng`` gives for that row's seed.
 
     Built on first use, so importing this module does not load numpy.random,
-    and checked once against ``default_rng``: a numpy whose seeding differs
-    raises RuntimeError rather than silently changing every stream.
+    and checked once against ``default_rng``, as are :func:`_pcg64_uniforms`'s
+    draws: a numpy whose seeding or PCG64 differs raises RuntimeError rather
+    than silently changing every stream.
     """
     from numpy.random import PCG64, Generator, default_rng
     from numpy.random.bit_generator import ISeedSequence
@@ -326,13 +371,16 @@ def _substream_factory():
     def substream(words: np.ndarray):
         return Generator(PCG64(HashedSeedSequence(words)))
 
-    probe = np.array([_SEED_SEQ_CHECK_SEED], dtype=np.uint64)
-    if (substream(_seed_sequence_states(probe)[0]).bit_generator.state
-            != default_rng(_SEED_SEQ_CHECK_SEED).bit_generator.state):
+    states = _seed_sequence_states(np.array([_SEED_SEQ_CHECK_SEED], dtype=np.uint64))
+    draws = np.empty((1, 8))
+    _pcg64_uniforms(states, draws)
+    reference = default_rng(_SEED_SEQ_CHECK_SEED)
+    if (substream(states[0]).bit_generator.state != reference.bit_generator.state
+            or not np.array_equal(draws[0], reference.random(8))):
         raise RuntimeError(
-            f"numpy {np.__version__} seeds PCG64 differently from the SeedSequence "
-            "hashing in rmbayes.simulate, so its substreams would not be the "
-            "default_rng streams"
+            f"numpy {np.__version__} seeds or runs PCG64 differently from the "
+            "SeedSequence hashing and PCG64 kernel in rmbayes.simulate, so its "
+            "substreams would not be the default_rng streams"
         )
     return substream
 
@@ -370,18 +418,17 @@ def _redraws_profile(config: SimulationConfig) -> bool:
     return config.spacing == "uniform" and config.k > 2 and config.delta != 0.0
 
 
-def _profiles(config: SimulationConfig, seeds: np.ndarray) -> np.ndarray:
-    """Treatment effects of the replications with these substream seeds:
-    one row each, equal to ``_rep_profile``, or one shared (k,) profile when
-    the spacing does not redraw it."""
+def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
+    """Treatment effects of the replications with these profile substream
+    states: one row each, equal to ``_rep_profile``, or one shared (k,)
+    profile (whatever the states) when the spacing does not redraw it."""
     if not _redraws_profile(config):
         return np.asarray(make_profile(config).alphas)
-    relative = np.empty((len(seeds), config.k))
+    relative = np.empty((len(states), config.k))
     relative[:, 0] = 0.0
     relative[:, -1] = 1.0
     interior = relative[:, 1:-1]
-    for row, rng in zip(interior, _substreams(_splitmix64(seeds ^ _PROFILE_STREAM_TAG))):
-        rng.random(out=row)
+    _pcg64_uniforms(states, interior)
     interior.sort(axis=1)
     means = config.delta * relative
     return means - means.mean(axis=1, keepdims=True)
@@ -435,17 +482,22 @@ def run_cell(config: SimulationConfig) -> CellResult:
     subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
     data = np.empty((block, n, k))
     f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
+    substream = _substream_factory()
 
     for first in range(0, reps, block):
         stop = min(first + block, reps)
         size = stop - first
         seeds = _rep_seeds(config, first, stop)
-        for row, rng in zip(normals, _substreams(seeds)):
-            rng.standard_normal(out=row)
+        if _redraws_profile(config):
+            seeds = np.concatenate((seeds, _splitmix64(seeds ^ _PROFILE_STREAM_TAG)))
+        # one hash for the block: the data substreams' rows, then the profiles'
+        states = _seed_sequence_states(seeds)
+        for row, words in zip(normals, states[:size]):
+            substream(words).standard_normal(out=row)
         sub, noi, dat = subject[:size], noise[:size], data[:size]
         sub *= math.sqrt(config.rho)
         noi *= math.sqrt(1.0 - config.rho)
-        base = config.grand_mean + _profiles(config, seeds)
+        base = config.grand_mean + _profiles(config, states[size:])
         # ((grand_mean + alphas) + subject) + noise: generate_dataset's order,
         # so the datasets match it to the bit
         np.add(base[..., np.newaxis, :], sub[:, :, np.newaxis], out=dat)

@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.special import fdtr
 
 from rmbayes import DesignSpec, f_cdf, rm_anova
+from rmbayes.anova import _decompose, _row_dots
 from rmbayes.errors import DegenerateResidualError, DomainError
 
 from conftest import definitional_anova
@@ -141,6 +142,31 @@ class TestRmAnova:
     def test_invalid_inputs_raise(self, bad):
         with pytest.raises(DomainError):
             rm_anova(bad)
+
+
+class TestDecompose:
+    @staticmethod
+    def ss_treatment_by_mean(stack):
+        """SSA with the column means of ``stack.mean(axis=1)``; SSR and F
+        follow from it and from code the column means do not touch."""
+        _, n, _ = stack.shape
+        grand = stack.mean(axis=(1, 2))
+        return n * _row_dots(stack.mean(axis=1) - grand[:, np.newaxis])
+
+    def assert_same_bits(self, stack):
+        assert (_decompose(stack)[0].tobytes()
+                == self.ss_treatment_by_mean(stack).tobytes()), stack.shape
+
+    def test_column_means_equal_mean_over_axis_1(self):
+        rng = np.random.default_rng(77)
+        for _ in range(120):
+            m, n, k = rng.integers(1, 301), rng.integers(2, 258), rng.integers(2, 17)
+            scale = 10.0 ** rng.integers(-3, 4)
+            self.assert_same_bits(rng.normal(rng.normal(), scale, (m, n, k)))
+
+    def test_column_means_of_one_tall_matrix(self):
+        rng = np.random.default_rng(78)
+        self.assert_same_bits(500.0 + rng.normal(size=(1, 10 ** 5, 3)))
 
 
 class TestDesignSpec:

@@ -215,6 +215,13 @@ class TestInferDesign:
         with pytest.raises(DesignInferenceError):
             infer_rm_design(ReportedStat(f_value=5.0, df1=4, df2=2))
 
+    @pytest.mark.parametrize("df1,df2", [(0.0, 5.0), (-2.0, 4.0), (-1.0, 0.0), (0.0, 0.0)])
+    def test_df1_below_one_rejected_naming_df1(self, df1, df2):
+        # df1 = 0 once raised ZeroDivisionError, and a negative df1 was blamed
+        # on the subject count
+        with pytest.raises(DesignInferenceError, match=rf"df1={int(df1)} is below 1"):
+            infer_rm_design(ReportedStat(f_value=1.0, df1=df1, df2=df2))
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(min_value=2, max_value=300), k=st.integers(min_value=2, max_value=15))
     def test_round_trip(self, n, k):

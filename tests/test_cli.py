@@ -2,6 +2,7 @@
 file outputs and determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -609,6 +610,77 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--seed", "banana",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+
+class TestSeededOutputBytes:
+    """Every file of a few seeded ``simulate --reps 50`` runs, pinned by its
+    SHA-256: uniform spacing at k = 3 and k = 5 with delta > 0 (one and three
+    profile draws per replication), k = 2, equal spacing, and delta = 0."""
+
+    RUNS = {
+        "k3-uniform": ["--k", "3", "--n", "10,20", "--rho", "0.2,0.8", "--delta", "0,0.5",
+                       "--seed", "12345"],
+        "k5-uniform": ["--k", "5", "--n", "10", "--rho", "0.5", "--delta", "0,0.3",
+                       "--seed", "7"],
+        "k2": ["--k", "2", "--n", "12", "--rho", "0.5", "--delta", "0.5", "--seed", "3"],
+        "k4-equal": ["--k", "4", "--spacing", "equal", "--n", "15", "--rho", "0.3",
+                     "--delta", "0,0.4", "--seed", "99"],
+    }
+    DIGESTS = {
+    "k3-uniform": {
+        "boxplot_data.csv": "bb97673c686a99788139a6638ed5284983f0515c56e053612ec6f254813dba6e",
+        "grid_report.json": "65b13fb2b161523e0a7fbac2511cc19b129f692d4094ae9ef19ef2b484131179",
+        "per_rep.csv": "8fe0507c6a8c2f8ee63ec7e90a71ec295a8ec74f1b34f5ea5798a6614c2d42e4",
+        "scatter_data.csv": "846ec1af13d0b90c67f03c114f1bdb6a28e0aea4aa0bb37e1faabb46b41e85c7",
+        "table2.csv": "719d7a98e781c09b5bf654f7d8384697914dbc1c9008f287d7d47a423667190d",
+        "table3.csv": "2f8dc71fd4a4ded091d2f6809bbc6ec9ef85a4dc5ef235728cf464ac014928bb",
+        "table4.csv": "9b1414c6c6fb4af65884e304ebc61e4fd7acb834ddecf30c6ad07cb915aadff6",
+    },
+    "k5-uniform": {
+        "boxplot_data.csv": "4b387f6bd40293ebb0d5d01f93618ca8a295fa337d55512edd2e6e05281cf443",
+        "grid_report.json": "c97cc490556c020bae381e7d08d74eb55ba6e03e47c68e9108d42f0c0361c472",
+        "per_rep.csv": "c456ecf7e56a3eb8021b8a7df60218cb54b451b246b1779e77fb660999ef1ea8",
+        "scatter_data.csv": "2c5ac177323e93d254dce5227a8d691b71cdce11f7c6781ed5ec47d6ec1c4d78",
+        "table2.csv": "45e02f6564c7e7fddf5326abbc2d23d557d75ef4662c652fcb883c73edf00c77",
+        "table3.csv": "028bbf858109bb2cd822588692969b2918e6e95517820d3d2f96ec2a650e685a",
+        "table4.csv": "f58d95baafce3b9eedbb23c75cbd429c0104fa65ff0630491d41982e4cca0d83",
+    },
+    "k2": {
+        "boxplot_data.csv": "473273d2fa385b18206f2adcba5917ccea8f8b24dc048085d80b42d57f8f6989",
+        "grid_report.json": "5f41f059718f1216c7761f5b6ce27c6734c2884511bbd47990841b760f175e8e",
+        "per_rep.csv": "69f08571f970d903b14cb4b037b2b357711354ca451e31636d725733f053911f",
+        "scatter_data.csv": "ec275e6220c14d96e93366134ad2ab0f0e96ce3eb7955d85d287480b56f4d315",
+        "table2.csv": "91bcf8b917489ffd09d450dc89c98514f2cbbf65ddf3d167bdd8f8ad3a0a8bd5",
+        "table3.csv": "c26fe4f049a1521379f7b8e2e714c782833c79719b4cce38fd4dc2ddb46580c5",
+        "table4.csv": "f0d9ba99530eefa725f77b46c718e88253e4bcc52725eac06556b2e35f6aa8b5",
+    },
+    "k4-equal": {
+        "boxplot_data.csv": "9f09b0ffdcefb1bc9e4252b37c3896bef4f887004b1495cd83a68fab7dc35e14",
+        "grid_report.json": "411f4900aaac7ed3e20cd6d72fc4e48e5afa029f21b4066738363a94d91cc121",
+        "per_rep.csv": "9db8d8dc8c3e95dad44fdee7b74a407bd0a647dea170d5dec799de68628f52f1",
+        "scatter_data.csv": "57f3528574cd755014646d3e7941a233161c182a81326c50ebe78f638fc5ef8d",
+        "table2.csv": "6b91900de7fd1122d2a9984fd3128061a28ab7f8f13a605d4cd78509ad7dbd49",
+        "table3.csv": "fcb384882c1a3107721e6f96d3bd47a78c576144aecae34e78eceaa731a50825",
+        "table4.csv": "e8f83b52de8bab010dce4d80eeb98bd6f14eaabc8356e885379c5519c218dd96",
+    },
+    }
+    # the manifest's run-dependent values
+    VOLATILE = re.compile(r'("(?:timestamp|out_dir)": )"[^"]*"')
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_output_digests(self, runner, tmp_path, run):
+        invoke(runner, ["simulate", "--reps", "50", *self.RUNS[run], "--emit-per-rep",
+                        "--out-dir", str(tmp_path)])
+        digests = {}
+        for path in sorted(tmp_path.iterdir()):
+            data = path.read_bytes()
+            if path.name == "grid_report.json":
+                data = self.VOLATILE.sub(r'\1""', data.decode()).encode()
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.DIGESTS[run], (
+            "seeded simulate output changed. If that is meant, re-capture these digests "
+            "and say so; a numpy upgrade may also change the Generator streams behind "
+            "them, which NEP 19 does not keep stable across versions")
 
 
 class TestParse:

@@ -20,6 +20,8 @@ except SystemExit as exc:
 """
 # ... then prints whether numpy is loaded
 RUN_CLI = RUN_MAIN + 'print("numpy" in sys.modules)\n'
+# ... then prints whether numpy.ma is loaded
+RUN_CLI_MA = RUN_MAIN + 'print("numpy.ma" in sys.modules)\n'
 # ... then prints which of a process pool's modules are loaded
 RUN_CLI_POOL = (RUN_MAIN + 'print(sorted({"concurrent.futures.process", "multiprocessing"}'
                 ' & set(sys.modules)))\n')
@@ -78,3 +80,11 @@ def test_simulate_loads_the_process_pool_only_on_more_workers(tmp_path, workers,
     args = ["simulate", "--n", "20", "--rho", "0.2,0.8", "--delta", "0", "--reps", "3",
             "--workers", workers, "--out-dir", str(tmp_path)]
     assert fresh_python(RUN_CLI_POOL, args) == loaded
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile would load it through np.unique; the five-number summaries
+    # and the rest of the grid's path do without
+    args = ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0,0.5", "--reps", "20",
+            "--emit-per-rep", "--out-dir", str(tmp_path)]
+    assert fresh_python(RUN_CLI_MA, args) == "False"

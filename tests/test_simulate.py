@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import rmbayes.simulate as sim
 from rmbayes import (
     DesignSpec,
+    FiveNumberSummary,
     ModelChoice,
     SimulationConfig,
     SummaryStats,
@@ -30,6 +31,7 @@ from rmbayes import (
 )
 from rmbayes.errors import DomainError
 from rmbayes.simulate import (
+    _pcg64_uniforms,
     _rep_profile,
     _rep_seed,
     _rep_seeds,
@@ -126,6 +128,39 @@ class TestSubstreams:
         monkeypatch.setattr(sim, "_SEED_SEQ_MULT_B", sim._SEED_SEQ_MULT_B ^ 2)
         with pytest.raises(RuntimeError, match=rf"numpy {np.__version__} "):
             run_cell(config_for(reps=2))
+
+    @pytest.mark.parametrize("draws", range(1, 9))
+    def test_pcg64_uniforms_equal_default_rng(self, draws):
+        seeds = self.seeds()
+        out = np.empty((len(seeds), draws))
+        _pcg64_uniforms(_seed_sequence_states(seeds), out)
+        expected = [np.random.default_rng(seed).random(draws).tolist()
+                    for seed in seeds.tolist()]
+        assert out.tolist() == expected
+
+    def test_wrong_pcg64_multiplier_raises(self, monkeypatch):
+        sim._substream_factory.cache_clear()
+        monkeypatch.setattr(sim, "_PCG64_MULT", sim._PCG64_MULT ^ 4)
+        with pytest.raises(RuntimeError, match=rf"numpy {np.__version__} "):
+            run_cell(config_for(delta=0.5, reps=2))
+
+
+class TestFiveNumberSummary:
+    FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.one_of(
+        st.lists(FINITE, min_size=1, max_size=300),
+        # ties
+        st.lists(st.sampled_from([0.0, 0.125, 0.5, 1.0, -2.5, 5e-324]), min_size=1,
+                 max_size=300),
+        # constant arrays, length 1 among them
+        st.builds(lambda value, size: [value] * size, FINITE, st.integers(1, 40)),
+    ))
+    def test_equals_numpy_percentile(self, values):
+        values = np.array(values)
+        expected = np.percentile(values, [0, 25, 50, 75, 100]).tolist()
+        assert list(astuple(FiveNumberSummary.from_values(values))) == expected
 
 
 class TestConfigValidation:
