@@ -17,8 +17,8 @@ from .errors import *
 _LAZY = {
     "anova": ("AnovaTable", "f_cdf", "rm_anova"),
     "simulate": ("CellResult", "FiveNumberSummary", "GridReport", "RepSeries",
-                 "SimulationConfig", "TreatmentProfile", "generate_dataset",
-                 "make_profile", "run_cell", "run_grid"),
+                 "SimulationConfig", "generate_dataset", "make_profile", "run_cell",
+                 "run_grid"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 

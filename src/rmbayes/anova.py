@@ -49,7 +49,7 @@ def rm_anova(data) -> AnovaTable:
     ----------
     data : array-like, shape (n, k)
         One row per subject, one column per condition.  Requires n >= 2,
-        k >= 2 and finite entries.
+        k >= 2 and finite real entries.
 
     Returns
     -------
@@ -60,14 +60,17 @@ def rm_anova(data) -> AnovaTable:
     Raises
     ------
     DomainError
-        If the matrix is not 2-d, is smaller than 2x2, has non-finite
+        If the data are not a 2-d real matrix of at least 2x2 finite
         entries, or its sums of squares overflow the float range.
     DegenerateResidualError
         If the residual sum of squares is zero while the treatment sum of
         squares is not (the F ratio would be unbounded).  A matrix with
         neither residual nor treatment variability yields F = 0 instead.
     """
-    values = np.asarray(data, dtype=float)
+    try:
+        values = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("data must be a rectangular matrix of real numbers") from None
     if values.ndim != 2:
         raise DomainError(f"expected a 2-d subject-by-condition matrix, got shape {values.shape}")
     n, k = values.shape
@@ -157,10 +160,11 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     Raises
     ------
     DomainError
-        For x < 0, NaN x, or nonpositive degrees of freedom.
+        For x < 0, NaN x, or degrees of freedom not positive and finite.
     """
-    if not (df1 > 0 and df2 > 0):
-        raise DomainError(f"degrees of freedom must be positive, got ({df1!r}, {df2!r})")
+    if not (0 < df1 < math.inf and 0 < df2 < math.inf):
+        raise DomainError(
+            f"degrees of freedom must be positive and finite, got ({df1!r}, {df2!r})")
     if math.isnan(x) or x < 0:
         raise DomainError(f"F statistic must be a nonnegative real, got {x!r}")
     if math.isinf(x):

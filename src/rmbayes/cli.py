@@ -494,7 +494,7 @@ def _json_float(value: float) -> str:
 
 
 # The report-v1 ``reports`` entry of ``parse --json``, keys in sorted order, as one
-# template per shape: evaluated, not inferable, and listed without --assume-rm
+# template per shape: evaluated, or not (a null error if listed without --assume-rm)
 _REPORT_KEYS = ("design", "df1", "df2", "error", "evidence", "f_is_upper_bound", "f_value",
                 "p_is_upper_bound", "p_reported", "span")
 _EVIDENCE_KEYS = ("bf01", "bf10", "delta_bic10", "log_bf01", "method", "posterior_h0",
@@ -512,8 +512,7 @@ def _entry_template(design: str, error: str, evidence: str) -> str:
 _REPORT_EVALUATED = _entry_template(
     '{\n        "k": %d,\n        "n": %d\n      }', "null",
     "{\n" + ",\n".join(f'        "{key}": %s' for key in _EVIDENCE_KEYS) + "\n      }")
-_REPORT_NOT_INFERABLE = _entry_template("null", "%s", "null")
-_REPORT_LISTED = _entry_template("null", "null", "null")
+_REPORT_NOT_EVALUATED = _entry_template("null", "%s", "null")
 _JSON_BOOL = {False: "false", True: "true"}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_MINIMAL_RM = encode_basestring_ascii(Method.MINIMAL_RM.value)  # parse's only route
@@ -536,10 +535,9 @@ def _report_entry_json(stat, design, evidence, error) -> str:
         values = (design[1], design[0], df1, df2, bf01, bf10, delta_bic10, log_bf01,
                   _JSON_MINIMAL_RM, posterior_h0, posterior_h1, prior_h0, _JSON_BOOL[saturated])
         check += bf01 + bf10 + delta_bic10 + log_bf01 + posterior_h0 + posterior_h1
-    elif error is not None:
-        template, values = _REPORT_NOT_INFERABLE, (df1, df2, encode_basestring_ascii(error))
     else:
-        template, values = _REPORT_LISTED, (df1, df2)
+        template = _REPORT_NOT_EVALUATED
+        values = (df1, df2, "null" if error is None else encode_basestring_ascii(error))
     values += (_JSON_BOOL[f_is_upper_bound], f_value, _JSON_BOOL[p_is_upper_bound],
                "null" if p_reported is None else p_reported, *span)
     if not math.isfinite(check):

@@ -2,7 +2,7 @@
 
 Datasets follow the linear mixed model
 
-    y[i, j] = mu + alpha[j] + pi[i] + eps[i, j]
+    y[i, j] = alpha[j] + pi[i] + eps[i, j]
 
 with subject effects pi ~ N(0, rho) and noise eps ~ N(0, 1 - rho), so the
 marginal variance is 1 and ``rho`` is the intraclass correlation.  The
@@ -39,8 +39,8 @@ Condition-mean spacing
 With ``spacing="uniform"`` (the default) the interior condition means are
 redrawn uniformly between the extremes for every replication, which matches
 the observed operating characteristics of this simulation design.  With
-``spacing="equal"`` the means stay fixed and equally spaced, as produced by
-:func:`make_profile`.
+``spacing="equal"`` the means stay fixed and equally spaced: the tuple of
+effects that :func:`make_profile` returns.
 
 Results
 -------
@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .anova import _decompose
-from .bayes import _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
+from .bayes import DesignSpec, _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
 from .errors import DegenerateResidualError, DomainError, as_int, is_real
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "GridReport",
     "RepSeries",
     "SimulationConfig",
-    "TreatmentProfile",
     "generate_dataset",
     "make_profile",
     "run_cell",
@@ -111,15 +110,11 @@ class SimulationConfig:
     k: int = 3
     reps: int = 1000
     master_seed: int = 0
-    grand_mean: float = 0.0
     spacing: str = "uniform"
 
     def __post_init__(self) -> None:
-        n, k, reps, seed = (as_int(v) for v in (self.n, self.k, self.reps, self.master_seed))
-        if n is None or n < 2:
-            raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
-        if k is None or k < 2:
-            raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
+        design = DesignSpec(self.n, self.k)
+        reps, seed = as_int(self.reps), as_int(self.master_seed)
         if not (is_real(self.rho) and 0.0 <= self.rho < 1.0):
             raise DomainError(
                 f"intraclass correlation must lie in [0, 1), got rho={self.rho!r}"
@@ -130,26 +125,16 @@ class SimulationConfig:
             raise DomainError(f"need at least 1 replication, got reps={self.reps!r}")
         if seed is None or not 0 <= seed <= _MASK64:
             raise DomainError("master_seed must be an unsigned 64-bit integer")
-        if not (is_real(self.grand_mean) and math.isfinite(self.grand_mean)):
-            raise DomainError(f"grand_mean must be a finite real, got {self.grand_mean!r}")
         if self.spacing not in _SPACINGS:
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
-        for name, value in (("n", n), ("k", k), ("reps", reps), ("master_seed", seed),
-                            ("rho", float(self.rho)), ("delta", float(self.delta)),
-                            ("grand_mean", float(self.grand_mean))):
+        for name, value in (("n", design.n), ("k", design.k), ("reps", reps),
+                            ("master_seed", seed), ("rho", float(self.rho)),
+                            ("delta", float(self.delta))):
             object.__setattr__(self, name, value)
 
     @property
     def cell_id(self) -> str:
         return f"n{self.n}_k{self.k}_rho{self.rho:g}_delta{self.delta:g}"
-
-
-@dataclass(frozen=True)
-class TreatmentProfile:
-    """Sum-to-zero treatment effects; their range equals the effect size on
-    the unit marginal-SD scale."""
-
-    alphas: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -263,7 +248,7 @@ def _cell_seed(config: SimulationConfig) -> int:
         config.k,
         _float_bits(config.rho),
         _float_bits(config.delta),
-        _float_bits(config.grand_mean),
+        0,  # the grand mean's _float_bits(0.0), kept so that no seed moves
     )
     for token in tokens:
         seed = _splitmix64(seed ^ (token & _MASK64))
@@ -385,24 +370,18 @@ def _substream_factory():
     return substream
 
 
-def _substreams(seeds: np.ndarray):
-    """``np.random.default_rng(s)`` for every s of a uint64 seed array, in
-    order, with the SeedSequence hashing done for the whole array at once."""
-    return map(_substream_factory(), _seed_sequence_states(seeds))
-
-
-def make_profile(config: SimulationConfig) -> TreatmentProfile:
-    """Equally spaced, sum-to-zero treatment effects with range ``delta``.
+def make_profile(config: SimulationConfig) -> tuple[float, ...]:
+    """Equally spaced, sum-to-zero treatment effects with range ``delta``,
+    the effect size on the unit marginal-SD scale.
 
     For delta = 0 every effect is zero; for k = 2 the profile
     (-delta/2, +delta/2) is forced by the range and zero-sum constraints.
     """
     k, delta = config.k, config.delta
-    alphas = tuple(delta * (j / (k - 1) - 0.5) for j in range(k))
-    return TreatmentProfile(alphas=alphas)
+    return tuple(delta * (j / (k - 1) - 0.5) for j in range(k))
 
 
-def _rep_profile(config: SimulationConfig, rep_index: int) -> TreatmentProfile:
+def _rep_profile(config: SimulationConfig, rep_index: int) -> tuple[float, ...]:
     """Profile used for one replication under the configured spacing."""
     if not _redraws_profile(config):
         return make_profile(config)
@@ -410,8 +389,7 @@ def _rep_profile(config: SimulationConfig, rep_index: int) -> TreatmentProfile:
     interior = np.sort(rng.uniform(size=config.k - 2))
     relative = np.concatenate(([0.0], interior, [1.0]))
     means = config.delta * relative
-    alphas = means - means.mean()
-    return TreatmentProfile(alphas=tuple(float(a) for a in alphas))
+    return tuple((means - means.mean()).tolist())
 
 
 def _redraws_profile(config: SimulationConfig) -> bool:
@@ -423,7 +401,7 @@ def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     states: one row each, equal to ``_rep_profile``, or one shared (k,)
     profile (whatever the states) when the spacing does not redraw it."""
     if not _redraws_profile(config):
-        return np.asarray(make_profile(config).alphas)
+        return np.asarray(make_profile(config))
     relative = np.empty((len(states), config.k))
     relative[:, 0] = 0.0
     relative[:, -1] = 1.0
@@ -434,22 +412,19 @@ def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     return means - means.mean(axis=1, keepdims=True)
 
 
-def generate_dataset(config: SimulationConfig, profile: TreatmentProfile,
-                     rep_index: int) -> np.ndarray:
-    """Draw one n-by-k dataset y[i, j] = mu + alpha[j] + pi[i] + eps[i, j].
+def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
+    """Draw replication ``rep_index``'s n-by-k dataset y[i, j] = alpha[j] +
+    pi[i] + eps[i, j], with alpha that replication's profile.
 
     Deterministic given (master_seed, cell parameters, rep_index): the
     replication's substream first yields the n subject effects, then the
     n*k noise matrix.
     """
-    if len(profile.alphas) != config.k:
-        raise DomainError(
-            f"profile has {len(profile.alphas)} effects but the design has k={config.k}"
-        )
+    alphas = np.asarray(_rep_profile(config, rep_index))
     rng = np.random.default_rng(_rep_seed(config, rep_index))
     subject = rng.normal(0.0, math.sqrt(config.rho), config.n)
     noise = rng.normal(0.0, math.sqrt(1.0 - config.rho), (config.n, config.k))
-    return config.grand_mean + np.asarray(profile.alphas) + subject[:, None] + noise
+    return alphas + subject[:, None] + noise
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -497,13 +472,12 @@ def run_cell(config: SimulationConfig) -> CellResult:
         sub, noi, dat = subject[:size], noise[:size], data[:size]
         sub *= math.sqrt(config.rho)
         noi *= math.sqrt(1.0 - config.rho)
-        base = config.grand_mean + _profiles(config, states[size:])
-        # ((grand_mean + alphas) + subject) + noise: generate_dataset's order,
-        # so the datasets match it to the bit
-        np.add(base[..., np.newaxis, :], sub[:, :, np.newaxis], out=dat)
-        dat += noi
-
-        ssa, ssb, ssr, sst, f = _decompose(dat)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            base = _profiles(config, states[size:])
+            # (alphas + subject) + noise, generate_dataset's order: the same bits
+            np.add(base[..., np.newaxis, :], sub[:, :, np.newaxis], out=dat)
+            dat += noi
+            ssa, ssb, ssr, sst, f = _decompose(dat)
         valid = np.isfinite(f) & (ssr > 0.0) & (ssb > 0.0)
         if not valid.all():
             bad = int(np.argmin(valid))

@@ -138,6 +138,9 @@ class TestRmAnova:
         np.ones((2, 2, 2)),
         [[1.0, float("nan")], [2.0, 3.0]],
         [[1.0, float("inf")], [2.0, 3.0]],
+        [["a", "b"], ["c", "d"]],
+        [[1, 2], [3]],
+        [[1j, 2], [3, 4]],
     ])
     def test_invalid_inputs_raise(self, bad):
         with pytest.raises(DomainError):
@@ -230,7 +233,8 @@ class TestFCdf:
             d2 = int(rng.integers(1, 60))
             assert f_cdf(x, d1, d2) + f_cdf(1.0 / x, d2, d1) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("args", [(-0.5, 3, 4), (float("nan"), 3, 4), (1.0, 0, 4), (1.0, 3, 0), (1.0, -1, 4)])
+    @pytest.mark.parametrize("args", [(-0.5, 3, 4), (float("nan"), 3, 4), (1.0, 0, 4), (1.0, 3, 0), (1.0, -1, 4),
+                                      (1.0, float("inf"), 5.0), (1.0, 5.0, float("inf"))])
     def test_domain_errors(self, args):
         with pytest.raises(DomainError):
             f_cdf(*args)

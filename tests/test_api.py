@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "ReportedStat",
     "SimulationConfig",
     "SummaryStats",
-    "TreatmentProfile",
     "__version__",
     "bf01_between",
     "bf01_minimal_rm",

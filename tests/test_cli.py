@@ -599,6 +599,21 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "workers must be an integer >= 1" in result.stderr
 
+    def test_overflowing_cell_prints_only_the_error(self, tmp_path):
+        # a fresh interpreter, whose default warning filters would print any
+        # numpy RuntimeWarning to stderr
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "rmbayes.cli", "simulate", "--n", "20", "--rho", "0.2",
+             "--delta", "1e155", "--reps", "3", "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: cell n20_k3_rho0.2_delta1e+155, replication 0: degenerate sums of "
+            "squares SSA=inf, SSB=0, SST=inf (no residual or no subject variability, or an "
+            "overflow)\n")
+
     def test_io_failure_exit_3(self, runner, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory", encoding="utf-8")
@@ -615,7 +630,8 @@ class TestSimulate:
 class TestSeededOutputBytes:
     """Every file of a few seeded ``simulate --reps 50`` runs, pinned by its
     SHA-256: uniform spacing at k = 3 and k = 5 with delta > 0 (one and three
-    profile draws per replication), k = 2, equal spacing, and delta = 0."""
+    profile draws per replication), k = 2, equal spacing, delta = 0, and rho = 0,
+    where the -0.0 effects of a null profile meet zero subject effects."""
 
     RUNS = {
         "k3-uniform": ["--k", "3", "--n", "10,20", "--rho", "0.2,0.8", "--delta", "0,0.5",
@@ -625,6 +641,7 @@ class TestSeededOutputBytes:
         "k2": ["--k", "2", "--n", "12", "--rho", "0.5", "--delta", "0.5", "--seed", "3"],
         "k4-equal": ["--k", "4", "--spacing", "equal", "--n", "15", "--rho", "0.3",
                      "--delta", "0,0.4", "--seed", "99"],
+        "k3-rho0": ["--k", "3", "--n", "10", "--rho", "0", "--delta", "0,0.3", "--seed", "5"],
     }
     DIGESTS = {
     "k3-uniform": {
@@ -662,6 +679,15 @@ class TestSeededOutputBytes:
         "table2.csv": "6b91900de7fd1122d2a9984fd3128061a28ab7f8f13a605d4cd78509ad7dbd49",
         "table3.csv": "fcb384882c1a3107721e6f96d3bd47a78c576144aecae34e78eceaa731a50825",
         "table4.csv": "e8f83b52de8bab010dce4d80eeb98bd6f14eaabc8356e885379c5519c218dd96",
+    },
+    "k3-rho0": {
+        "boxplot_data.csv": "2862e5ad972da75ce54228878054b564f2dc408a02ca778ee33396b6291147c2",
+        "grid_report.json": "b09af92a36fc7ece46aa8e6eeaf59d78cb27adac46b1fcb0906c6e97fc79702c",
+        "per_rep.csv": "f4518754e683c2863876287d1bd4a0552f73657bebe071d9f213fa590fa39399",
+        "scatter_data.csv": "dabd42cb75702d315d55a22dcfc27fe71b2b342b9875306ea9fac08b7cd44763",
+        "table2.csv": "4850102742d68bd3b4097a9166582490fa60eed02c78e3ea552bf91fde0362a0",
+        "table3.csv": "428f0d8e924a80ef03a304be7f5116b1ec90cd5e19f86768570b52257ae5d911",
+        "table4.csv": "14ce889e076c7941aff75bd4e25fb268df5d1d2d8281d1f1cd6b14a6564c65b1",
     },
     }
     # the manifest's run-dependent values

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, fields, replace
@@ -19,7 +20,6 @@ from rmbayes import (
     ModelChoice,
     SimulationConfig,
     SummaryStats,
-    TreatmentProfile,
     bf01_minimal_rm,
     choose_model,
     delta_bic_nathoo,
@@ -37,7 +37,6 @@ from rmbayes.simulate import (
     _rep_seeds,
     _seed_sequence_states,
     _splitmix64,
-    _substreams,
 )
 
 
@@ -50,7 +49,7 @@ def scalar_chain(config, reps):
     profile, dataset, ANOVA, then both scalar Bayes factor routes."""
     design = DesignSpec(n=config.n, k=config.k)
     for rep in reps:
-        table = rm_anova(generate_dataset(config, _rep_profile(config, rep), rep))
+        table = rm_anova(generate_dataset(config, rep))
         yield table.f_stat, bf01_minimal_rm(table.f_stat, design), delta_bic_nathoo(
             SummaryStats(ss_treatment=table.ss_treatment, ss_subjects=table.ss_subjects,
                          ss_total=table.ss_total, design=design))
@@ -97,7 +96,8 @@ class TestSubstreams:
 
     def test_streams_equal_default_rng(self):
         seeds = self.seeds()
-        for rng, seed in zip(_substreams(seeds), seeds.tolist(), strict=True):
+        streams = map(sim._substream_factory(), _seed_sequence_states(seeds))
+        for rng, seed in zip(streams, seeds.tolist(), strict=True):
             reference = np.random.default_rng(seed)
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.standard_normal() == reference.standard_normal()
@@ -168,15 +168,24 @@ class TestConfigValidation:
         {"n": 1}, {"k": 1}, {"rho": 1.0}, {"rho": -0.1}, {"rho": float("nan")},
         {"delta": -0.2}, {"delta": float("inf")}, {"reps": 0},
         {"master_seed": -1}, {"master_seed": 2 ** 64}, {"spacing": "random"},
-        {"grand_mean": float("nan")}, {"reps": True}, {"n": 20.0},
+        {"reps": True}, {"n": 20.0},
         {"rho": "0.2"}, {"rho": False}, {"delta": None}, {"delta": True},
-        {"grand_mean": "1"},
     ])
     def test_rejected(self, kwargs):
         base = {"n": 20, "rho": 0.2, "delta": 0.0}
         base.update(kwargs)
         with pytest.raises(DomainError):
             SimulationConfig(**base)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 1}, "need at least 2 subjects, got n=1"),
+        ({"n": 1, "k": 1}, "need at least 2 subjects, got n=1"),
+        ({"k": 1}, "need at least 2 conditions, got k=1"),
+        ({"n": 10 ** 400}, "n*(k-1) = 2e+400 lies beyond the float range"),
+    ])
+    def test_design_checked_as_a_design_spec(self, kwargs, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            config_for(**kwargs)
 
     def test_cell_id(self):
         assert config_for(n=20, rho=0.2, delta=0.5).cell_id == "n20_k3_rho0.2_delta0.5"
@@ -190,24 +199,22 @@ class TestConfigValidation:
         assert run_cell(config) == run_cell(config_for(n=20, k=3, reps=4, master_seed=7))
 
     def test_numpy_reals_accepted(self):
-        config = config_for(rho=np.float64(0.2), delta=np.float32(0.5),
-                            grand_mean=np.float16(1.5), reps=4)
-        assert config == config_for(rho=0.2, delta=0.5, grand_mean=1.5, reps=4)
-        assert all(type(v) is float for v in (config.rho, config.delta, config.grand_mean))
-        assert run_cell(config) == run_cell(config_for(rho=0.2, delta=0.5, grand_mean=1.5,
-                                                       reps=4))
+        config = config_for(rho=np.float64(0.2), delta=np.float16(0.5), reps=4)
+        assert config == config_for(rho=0.2, delta=0.5, reps=4)
+        assert all(type(v) is float for v in (config.rho, config.delta))
+        assert run_cell(config) == run_cell(config_for(rho=0.2, delta=0.5, reps=4))
 
 
 class TestMakeProfile:
     def test_null_profile(self):
-        assert make_profile(config_for(k=3, delta=0.0)).alphas == (0.0, 0.0, 0.0)
+        assert make_profile(config_for(k=3, delta=0.0)) == (0.0, 0.0, 0.0)
 
     def test_three_conditions_medium_effect(self):
-        alphas = make_profile(config_for(k=3, delta=0.5)).alphas
+        alphas = make_profile(config_for(k=3, delta=0.5))
         assert alphas == pytest.approx((-0.25, 0.0, 0.25), abs=1e-15)
 
     def test_two_conditions_small_effect(self):
-        alphas = make_profile(config_for(k=2, delta=0.2)).alphas
+        alphas = make_profile(config_for(k=2, delta=0.2))
         assert alphas == pytest.approx((-0.1, 0.1), abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
@@ -216,7 +223,7 @@ class TestMakeProfile:
         delta=st.floats(min_value=0.0, max_value=5.0),
     )
     def test_sum_zero_and_range(self, k, delta):
-        alphas = make_profile(config_for(k=k, delta=delta)).alphas
+        alphas = make_profile(config_for(k=k, delta=delta))
         assert math.fsum(alphas) == pytest.approx(0.0, abs=1e-12 * max(1.0, delta))
         assert max(alphas) - min(alphas) == pytest.approx(delta, rel=1e-12, abs=1e-15)
 
@@ -224,15 +231,14 @@ class TestMakeProfile:
 class TestPerRepProfile:
     def test_equal_spacing_is_fixed(self):
         config = config_for(delta=0.5, spacing="equal")
-        profiles = {_rep_profile(config, rep).alphas for rep in range(5)}
-        assert profiles == {make_profile(config).alphas}
+        profiles = {_rep_profile(config, rep) for rep in range(5)}
+        assert profiles == {make_profile(config)}
 
     def test_uniform_spacing_redraws_interior_means(self):
         config = config_for(k=3, delta=0.5, spacing="uniform")
         profiles = [_rep_profile(config, rep) for rep in range(20)]
-        assert len({p.alphas for p in profiles}) > 1
-        for profile in profiles:
-            alphas = profile.alphas
+        assert len(set(profiles)) > 1
+        for alphas in profiles:
             assert math.fsum(alphas) == pytest.approx(0.0, abs=1e-12)
             assert max(alphas) - min(alphas) == pytest.approx(0.5, rel=1e-12)
             assert list(alphas) == sorted(alphas)
@@ -243,35 +249,29 @@ class TestPerRepProfile:
         assert _rep_profile(config, 11) != _rep_profile(config, 12)
 
     def test_degenerate_uniform_cases_fall_back_to_equal(self):
-        assert _rep_profile(config_for(k=2, delta=0.4), 3).alphas == \
-            make_profile(config_for(k=2, delta=0.4)).alphas
-        assert _rep_profile(config_for(k=3, delta=0.0), 3).alphas == (0.0, 0.0, 0.0)
+        assert _rep_profile(config_for(k=2, delta=0.4), 3) == \
+            make_profile(config_for(k=2, delta=0.4))
+        assert _rep_profile(config_for(k=3, delta=0.0), 3) == (0.0, 0.0, 0.0)
 
 
 class TestGenerateDataset:
     def test_bit_identical_for_same_substream(self):
         config = config_for(n=15, rho=0.8, delta=0.2, master_seed=2024)
-        profile = make_profile(config)
-        first = generate_dataset(config, profile, 7)
-        second = generate_dataset(config, profile, 7)
+        first = generate_dataset(config, 7)
+        second = generate_dataset(config, 7)
         assert np.array_equal(first, second)
-        assert not np.array_equal(first, generate_dataset(config, profile, 8))
-
-    def test_profile_length_checked(self):
-        config = config_for(k=3)
-        with pytest.raises(DomainError):
-            generate_dataset(config, TreatmentProfile(alphas=(0.0, 0.0)), 0)
+        assert not np.array_equal(first, generate_dataset(config, 8))
 
     def test_pure_noise_moments(self):
-        config = config_for(n=100_000, rho=0.0, delta=0.0, k=10, grand_mean=2.5)
-        data = generate_dataset(config, make_profile(config), 0)
+        config = config_for(n=100_000, rho=0.0, delta=0.0, k=10)
+        data = generate_dataset(config, 0)
         assert data.shape == (100_000, 10)
-        assert data.mean() == pytest.approx(2.5, abs=0.01)
+        assert data.mean() == pytest.approx(0.0, abs=0.01)
         assert data.var() == pytest.approx(1.0, abs=0.02)
 
     def test_intraclass_correlation_recovered(self):
         config = config_for(n=20_000, rho=0.8, delta=0.0, k=3, master_seed=5)
-        table = rm_anova(generate_dataset(config, make_profile(config), 0))
+        table = rm_anova(generate_dataset(config, 0))
         ms_subjects = table.ss_subjects / table.df_subjects
         sigma_subj = (ms_subjects - table.ms_residual) / config.k
         icc = sigma_subj / (sigma_subj + table.ms_residual)
@@ -279,8 +279,18 @@ class TestGenerateDataset:
 
     def test_treatment_effects_shift_column_means(self):
         config = config_for(n=50_000, rho=0.2, delta=1.0, k=3, spacing="equal")
-        data = generate_dataset(config, make_profile(config), 0)
+        data = generate_dataset(config, 0)
         assert data.mean(axis=0) == pytest.approx([-0.5, 0.0, 0.5], abs=0.02)
+
+    def test_draws_the_replications_own_profile(self):
+        # uniform spacing redraws the interior mean of each replication, which
+        # shifts the middle column mean away from the equally spaced 0
+        config = config_for(n=50_000, rho=0.2, delta=1.0, k=3, master_seed=8)
+        for rep in (0, 1):
+            expected = _rep_profile(config, rep)
+            assert abs(expected[1]) > 0.1
+            data = generate_dataset(config, rep)
+            assert data.mean(axis=0) == pytest.approx(expected, abs=0.02)
 
 
 class TestRunCell:
@@ -315,11 +325,19 @@ class TestRunCell:
         with pytest.raises(DomainError, match=r"cell n20_k3_rho1_delta0\.5, replication 0: "):
             run_cell(config)
 
+    @pytest.mark.parametrize("k,delta", [(3, 1e155), (3, 1e200), (3, 1.7e308), (5, 1e308)])
+    def test_overflowing_cell_raises_domain_error_naming_it(self, k, delta):
+        # no numpy RuntimeWarning escapes first: the tests run with warnings as errors
+        config = config_for(n=20, rho=0.2, delta=delta, k=k, reps=200)
+        with pytest.raises(DomainError, match=rf"^cell {re.escape(config.cell_id)}, "
+                                              r"replication \d+: "):
+            run_cell(config)
+
 
 class TestBatchedCore:
     @pytest.mark.parametrize("kwargs", [
         dict(n=12, k=2, rho=0.0, delta=0.5),
-        dict(n=9, k=5, rho=0.8, delta=0.3, grand_mean=2.5),
+        dict(n=9, k=5, rho=0.8, delta=0.3),
         dict(n=15, k=5, rho=0.0, delta=0.0),
         dict(n=20, k=3, rho=0.8, delta=0.2, spacing="equal"),
     ])
