@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError, DomainError
+from .errors import DegenerateResidualError, DomainError, is_real
 
 __all__ = ["AnovaTable", "f_cdf", "rm_anova"]
 
@@ -49,7 +49,8 @@ def rm_anova(data) -> AnovaTable:
     ----------
     data : array-like, shape (n, k)
         One row per subject, one column per condition.  Requires n >= 2,
-        k >= 2 and finite real entries.
+        k >= 2 and finite real entries: an integer or float array, or real
+        numbers (``int``, ``float``, ``Fraction``, numpy scalars, no ``bool``).
 
     Returns
     -------
@@ -61,14 +62,21 @@ def rm_anova(data) -> AnovaTable:
     ------
     DomainError
         If the data are not a 2-d real matrix of at least 2x2 finite
-        entries, or its sums of squares overflow the float range.
+        entries (a boolean, complex, string or ``None`` entry is not real),
+        or an entry or its sums of squares overflow the float range.
     DegenerateResidualError
         If the residual sum of squares is zero while the treatment sum of
         squares is not (the F ratio would be unbounded).  A matrix with
         neither residual nor treatment variability yields F = 0 instead.
     """
     try:
-        values = np.asarray(data, dtype=float)
+        values = np.asarray(data)
+        kind = values.dtype.kind
+        if kind not in "iuf" and not (kind == "O" and all(map(is_real, values.flat))):
+            raise TypeError  # bool, complex, text, None: no cast to float
+        values = values.astype(float, copy=False)
+    except OverflowError:
+        raise DomainError("a data matrix entry lies beyond the float range") from None
     except (TypeError, ValueError):
         raise DomainError("data must be a rectangular matrix of real numbers") from None
     if values.ndim != 2:
@@ -160,12 +168,13 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     Raises
     ------
     DomainError
-        For x < 0, NaN x, or degrees of freedom not positive and finite.
+        For x < 0, NaN x, degrees of freedom not positive and finite, or an
+        argument that is not a real number (``bool`` included).
     """
-    if not (0 < df1 < math.inf and 0 < df2 < math.inf):
+    if not (is_real(df1) and is_real(df2) and 0 < df1 < math.inf and 0 < df2 < math.inf):
         raise DomainError(
             f"degrees of freedom must be positive and finite, got ({df1!r}, {df2!r})")
-    if math.isnan(x) or x < 0:
+    if not is_real(x) or math.isnan(x) or x < 0:
         raise DomainError(f"F statistic must be a nonnegative real, got {x!r}")
     if math.isinf(x):
         return 1.0

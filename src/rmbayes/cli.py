@@ -4,7 +4,7 @@ CSV data, the Monte Carlo grid, and scanning text for reported F statistics.
 This module alone turns the library's result dataclasses into the report-v1
 JSON and the CSV files.
 
-Exit codes: 0 success, 2 validation failure, 3 I/O failure.
+Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -89,16 +89,6 @@ def _report(command: str, params: dict, as_json: bool, payload: dict,
     click.echo(_report_json(command, params, payload) if as_json else "\n".join(lines))
 
 
-def _validation_exit(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-def _io_exit(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(3)
-
-
 class UInt64(click.ParamType):
     """Unsigned 64-bit integer, accepted as decimal or 0x-prefixed hex."""
 
@@ -137,7 +127,22 @@ def _render_evidence(result) -> list[str]:
     ]
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one place where an error becomes an exit code:
+    a DomainError exits 2 and an OSError 3, each after one ``error:`` line on
+    stderr. A closed pipe is left to click, which ends quietly with exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (DomainError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, DomainError) else 3)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="rmbayes")
 def main() -> None:
     """Bayes factors for repeated-measures ANOVA from minimal summary
@@ -159,11 +164,8 @@ def main() -> None:
 def cmd_bf(f_stat: float, n_subjects: int, k_conditions: int, prior_h0: float,
            as_json: bool) -> None:
     """Bayes factor from F, n and k alone (minimal BIC method)."""
-    try:
-        design = DesignSpec(n=n_subjects, k=k_conditions)
-        result = bf01_minimal_rm(f_stat, design, prior_h0=prior_h0)
-    except DomainError as exc:
-        _validation_exit(str(exc))
+    result = bf01_minimal_rm(f_stat, DesignSpec(n=n_subjects, k=k_conditions),
+                             prior_h0=prior_h0)
     _report("bf", {
         "f": f_stat, "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
     }, as_json, {"evidence": vars(result)}, [
@@ -184,12 +186,9 @@ def cmd_bf(f_stat: float, n_subjects: int, k_conditions: int, prior_h0: float,
 def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions: int,
               prior_h0: float, as_json: bool) -> None:
     """Bayes factor from sums of squares (Nathoo-Masson method)."""
-    try:
-        design = DesignSpec(n=n_subjects, k=k_conditions)
-        stats = SummaryStats(ss_treatment=ssa, ss_subjects=ssb, ss_total=sst, design=design)
-        result = delta_bic_nathoo(stats, prior_h0=prior_h0)
-    except DomainError as exc:
-        _validation_exit(str(exc))
+    design = DesignSpec(n=n_subjects, k=k_conditions)
+    stats = SummaryStats(ss_treatment=ssa, ss_subjects=ssb, ss_total=sst, design=design)
+    result = delta_bic_nathoo(stats, prior_h0=prior_h0)
     lines = [f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n_subjects}, k = {k_conditions}",
              *_render_evidence(result)]
     if ssa == 0:
@@ -204,7 +203,7 @@ def _read_wide_csv(path: str) -> np.ndarray:
     """Wide-format CSV: header row, one row per subject, k numeric columns, as an
     n-by-k float64 array. numpy's C reader takes the common case; whatever it
     rejects, ``_read_csv_rows`` reads and decides.
-    Content problems raise DomainError; OSError propagates to the caller."""
+    Content problems raise DomainError; OSError propagates."""
     import numpy as np
 
     with open(path, newline="", encoding="utf-8") as handle:
@@ -281,29 +280,20 @@ def _render_anova_table(table) -> list[str]:
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
 def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
     """Repeated-measures ANOVA of a wide-format CSV (one row per subject)."""
-    try:
-        data = _read_wide_csv(csv_path)
-    except OSError as exc:
-        _io_exit(str(exc))
-    except DomainError as exc:
-        _validation_exit(str(exc))
-    try:
-        table = _numpy_backed("rm_anova")(data)
-        n, k = data.shape
-        design = DesignSpec(n=n, k=k)
-        evidence = []
-        if with_bf:
-            evidence = [
-                bf01_minimal_rm(table.f_stat, design),
-                delta_bic_nathoo(SummaryStats(
-                    ss_treatment=table.ss_treatment,
-                    ss_subjects=table.ss_subjects,
-                    ss_total=table.ss_total,
-                    design=design,
-                )),
-            ]
-    except DomainError as exc:
-        _validation_exit(str(exc))
+    data = _read_wide_csv(csv_path)
+    table = _numpy_backed("rm_anova")(data)
+    design = DesignSpec(*data.shape)
+    evidence = []
+    if with_bf:
+        evidence = [
+            bf01_minimal_rm(table.f_stat, design),
+            delta_bic_nathoo(SummaryStats(
+                ss_treatment=table.ss_treatment,
+                ss_subjects=table.ss_subjects,
+                ss_total=table.ss_total,
+                design=design,
+            )),
+        ]
     lines = [f"n = {design.n} subjects, k = {design.k} conditions", *_render_anova_table(table)]
     for result in evidence:
         lines += ["", *_render_evidence(result)]
@@ -439,25 +429,18 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
                  seed: int, spacing: str, out_dir: str, emit_per_rep: bool,
                  workers: int) -> None:
     """Run the Monte Carlo grid comparing both Bayes factor methods."""
-    try:
-        n_values = _parse_number_list(n_list, int, "subject-count")
-        rho_values = _parse_number_list(rho_list, float, "correlation")
-        delta_values = _parse_number_list(delta_list, float, "effect-size")
-        report = _numpy_backed("run_grid")(n_values, rho_values, delta_values, k=k,
-                                           reps=reps, master_seed=seed, spacing=spacing,
-                                           workers=workers)
-    except DomainError as exc:
-        _validation_exit(str(exc))
+    n_values = _parse_number_list(n_list, int, "subject-count")
+    rho_values = _parse_number_list(rho_list, float, "correlation")
+    delta_values = _parse_number_list(delta_list, float, "effect-size")
+    report = _numpy_backed("run_grid")(n_values, rho_values, delta_values, k=k, reps=reps,
+                                       master_seed=seed, spacing=spacing, workers=workers)
     params = {
         "n_values": list(n_values), "rho_values": list(rho_values),
         "delta_values": list(delta_values), "k": k, "reps": reps,
         "spacing": spacing, "out_dir": out_dir, "emit_per_rep": emit_per_rep,
         "workers": workers,
     }
-    try:
-        written = _write_grid_outputs(report, out_dir, params, seed, emit_per_rep)
-    except OSError as exc:
-        _io_exit(str(exc))
+    written = _write_grid_outputs(report, out_dir, params, seed, emit_per_rep)
     click.echo(f"wrote {', '.join(written)} in {out_dir}")
     click.echo("")
     header = f"{'cell':<32}{'acc_min':>8}{'acc_nm':>8}{'consist':>9}{'corr':>7}"
@@ -558,21 +541,17 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
 
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
-    try:
-        _check_prior(prior_h0)
-    except DomainError as exc:
-        _validation_exit(str(exc))
+    _check_prior(prior_h0)
     try:
         if text_path in (None, "-"):
             text = click.get_text_stream("stdin").read()
         else:
             with open(text_path, encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
-        _io_exit(str(exc))
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.start is its byte offset
-        _validation_exit(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} ({exc.reason})")
+        raise DomainError(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} "
+                          f"({exc.reason})") from None
 
     # infer_rm_design and bf01_minimal_rm on field tuples: the same checks, no dataclasses
     evaluated = []

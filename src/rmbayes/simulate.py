@@ -447,7 +447,8 @@ def run_cell(config: SimulationConfig) -> CellResult:
     from the sums of squares).  Replications run in blocks of at most
     ``_BLOCK_VALUES`` data values, each block as one batched pass.  A
     degenerate decomposition aborts the cell with the cell id and
-    replication index attached (probability zero for continuous data).
+    replication index attached (probability zero for continuous data), and
+    so does a ``reps`` whose result arrays cannot be allocated.
     """
     n, k, reps = config.n, config.k, config.reps
     block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
@@ -456,7 +457,11 @@ def run_cell(config: SimulationConfig) -> CellResult:
     normals = np.empty((block, n * (k + 1)))
     subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
     data = np.empty((block, n, k))
-    f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
+    try:
+        f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
+    except (MemoryError, ValueError):
+        raise DomainError(f"cell {config.cell_id}: reps={reps} replications do not fit "
+                          "in memory") from None
     substream = _substream_factory()
 
     for first in range(0, reps, block):

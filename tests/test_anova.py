@@ -1,6 +1,7 @@
 """Repeated-measures decomposition and F CDF against independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,10 +142,28 @@ class TestRmAnova:
         [["a", "b"], ["c", "d"]],
         [[1, 2], [3]],
         [[1j, 2], [3, 4]],
+        np.array([[1j, 2], [3, 4]]),
+        [[1, 2], [3, "5"], [4, 4]],  # read as 5.0, this matrix has a residual
+        np.array([[True, False], [False, True]]),
+        [[1, 2], [3, None]],
+        [[10 ** 400, 1], [1, 2]],
     ])
     def test_invalid_inputs_raise(self, bad):
         with pytest.raises(DomainError):
             rm_anova(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1, 2], [3, None]], "rectangular matrix of real numbers"),
+        ([[10 ** 400, 1], [1, 2]], "beyond the float range"),
+    ])
+    def test_invalid_input_messages(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            rm_anova(bad)
+
+    def test_fraction_matrix_matches_its_float_twin(self):
+        exact = [[Fraction(1, 3), Fraction(5, 2)], [Fraction(7, 4), Fraction(2, 9)],
+                 [Fraction(3), Fraction(-1, 7)]]
+        assert rm_anova(exact) == rm_anova([[float(v) for v in row] for row in exact])
 
 
 class TestDecompose:
@@ -234,7 +253,9 @@ class TestFCdf:
             assert f_cdf(x, d1, d2) + f_cdf(1.0 / x, d2, d1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("args", [(-0.5, 3, 4), (float("nan"), 3, 4), (1.0, 0, 4), (1.0, 3, 0), (1.0, -1, 4),
-                                      (1.0, float("inf"), 5.0), (1.0, 5.0, float("inf"))])
+                                      (1.0, float("inf"), 5.0), (1.0, 5.0, float("inf")),
+                                      ("1", 2, 3), (1.0, "2", 3), (None, 1, 2), (1j, 1, 2),
+                                      (1.0, True, 2)])
     def test_domain_errors(self, args):
         with pytest.raises(DomainError):
             f_cdf(*args)

@@ -890,3 +890,55 @@ class TestParse:
         stat_keys = [field.name for field in fields(ReportedStat)]
         assert _REPORT_KEYS == tuple(sorted(stat_keys + ["design", "evidence", "error"]))
         assert _EVIDENCE_KEYS == tuple(sorted(field.name for field in fields(EvidenceResult)))
+
+
+class TestErrorBoundary:
+    """``main`` alone turns errors into exit codes: 2 for a DomainError, 3 for an
+    OSError, and click's quiet 1 for a closed stdout pipe."""
+
+    @staticmethod
+    def cli(args, **kwargs):
+        """``rmbayes args`` in a fresh interpreter, with real stdout and stderr."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        return subprocess.Popen([sys.executable, "-m", "rmbayes.cli", *args], env=env,
+                                stderr=subprocess.PIPE, text=True, **kwargs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ["bf", "--f", "1", "--n", "10", "--k", "3"],
+        ["parse", "--json", "-"],
+    ], ids=["bf", "parse-json"])
+    def test_stdout_write_failure_exit_3_with_one_line(self, args):
+        with open("/dev/full", "w") as full:
+            process = self.cli(args, stdin=subprocess.PIPE, stdout=full)
+            _, stderr = process.communicate("F(1, 22) = 1.336, p = .26")
+        assert process.returncode == 3
+        assert stderr.startswith("error: ")
+        assert len(stderr.splitlines()) == 1
+
+    def test_closed_stdout_pipe_exit_1_without_error_line(self, tmp_path):
+        # well past a pipe's buffer, so parse is still writing when the pipe closes
+        path = tmp_path / "many.txt"
+        path.write_text("F(1, 22) = 1.336, p = .26\n" * 5000, encoding="utf-8")
+        process = self.cli(["parse", str(path)], stdout=subprocess.PIPE)
+        assert process.stdout.readline().startswith("F(1, 22) = 1.336")
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait() == 1
+        assert "error:" not in stderr
+
+    def test_validation_failure_raises_system_exit_2_without_standalone_mode(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(["bf", "--f", "1", "--n", "1", "--k", "3"], standalone_mode=False)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "error: need at least 2 subjects, got n=1\n"
+
+    @pytest.mark.parametrize("reps", [10 ** 19, 2 ** 63 - 1])
+    def test_unallocatable_reps_exit_2_with_one_line(self, runner, tmp_path, reps):
+        result = runner.invoke(main, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0",
+                                      "--reps", str(reps), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cell n20_k3_rho0.2_delta0: reps={reps} replications "
+                                 "do not fit in memory\n")

@@ -333,6 +333,12 @@ class TestRunCell:
                                               r"replication \d+: "):
             run_cell(config)
 
+    # numpy rejects both counts before it allocates anything
+    @pytest.mark.parametrize("reps", [10 ** 19, 2 ** 63 - 1])
+    def test_unallocatable_reps_raise_domain_error_naming_the_cell(self, reps):
+        with pytest.raises(DomainError, match=rf"^cell n20_k3_rho0\.2_delta0: reps={reps} "):
+            run_cell(config_for(reps=reps))
+
 
 class TestBatchedCore:
     @pytest.mark.parametrize("kwargs", [
