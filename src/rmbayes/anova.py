@@ -70,7 +70,8 @@ def rm_anova(data) -> AnovaTable:
         neither residual nor treatment variability yields F = 0 instead.
     """
     try:
-        values = np.asarray(data)
+        # a list goes through object entries, so a bool among numbers is seen
+        values = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=object)
         kind = values.dtype.kind
         if kind not in "iuf" and not (kind == "O" and all(map(is_real, values.flat))):
             raise TypeError  # bool, complex, text, None: no cast to float

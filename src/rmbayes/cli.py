@@ -127,6 +127,21 @@ def _render_evidence(result) -> list[str]:
     ]
 
 
+class _Unflushed:
+    """A stdout whose write failed, with a flush that does nothing: Python flushes
+    stdout at exit, which would retry the write and print a second error (click
+    wraps a closed pipe the same way)."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def flush(self) -> None:
+        pass
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
+
+
 class _Main(click.Group):
     """The command group, and the one place where an error becomes an exit code:
     a DomainError exits 2 and an OSError 3, each after one ``error:`` line on
@@ -139,7 +154,14 @@ class _Main(click.Group):
             raise
         except (DomainError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2 if isinstance(exc, DomainError) else 3)
+            if isinstance(exc, DomainError):
+                sys.exit(2)
+            try:  # a failed write to stdout stays in its buffer, and exit would retry it
+                if sys.stdout is not None:  # None when stdout is closed (>&-)
+                    sys.stdout.flush()
+            except OSError:
+                sys.stdout = _Unflushed(sys.stdout)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)

@@ -145,6 +145,7 @@ class TestRmAnova:
         np.array([[1j, 2], [3, 4]]),
         [[1, 2], [3, "5"], [4, 4]],  # read as 5.0, this matrix has a residual
         np.array([[True, False], [False, True]]),
+        [[True, 2], [3, 4], [5, 7]],  # read as 1, this matrix has a residual
         [[1, 2], [3, None]],
         [[10 ** 400, 1], [1, 2]],
     ])

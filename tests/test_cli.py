@@ -1,6 +1,7 @@
 """Black-box CLI tests: worked examples, JSON schema validity, exit codes,
 file outputs and determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -604,6 +605,7 @@ class TestSimulate:
         # numpy RuntimeWarning to stderr
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a plain shell
         result = subprocess.run(
             [sys.executable, "-m", "rmbayes.cli", "simulate", "--n", "20", "--rho", "0.2",
              "--delta", "1e155", "--reps", "3", "--out-dir", str(tmp_path / "out")],
@@ -901,6 +903,7 @@ class TestErrorBoundary:
         """``rmbayes args`` in a fresh interpreter, with real stdout and stderr."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a plain shell
         return subprocess.Popen([sys.executable, "-m", "rmbayes.cli", *args], env=env,
                                 stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -934,6 +937,26 @@ class TestErrorBoundary:
             main.main(["bf", "--f", "1", "--n", "1", "--k", "3"], standalone_mode=False)
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == "error: need at least 2 subjects, got n=1\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_write_failure_in_process_exits_3_and_leaves_stdout_restored(self, capsys):
+        full = open("/dev/full", "w", encoding="utf-8")
+        stdout = sys.stdout
+        with contextlib.redirect_stdout(full), pytest.raises(SystemExit) as exit_info:
+            main.main(["bf", "--f", "1", "--n", "10", "--k", "3"], standalone_mode=False)
+        assert exit_info.value.code == 3
+        assert sys.stdout is stdout
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+        with pytest.raises(OSError):  # the failed write is still in the file's own buffer
+            full.close()
+
+    def test_io_failure_with_stdout_closed_exits_3(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it for `>&-`
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(["anova", missing], standalone_mode=False)
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
     @pytest.mark.parametrize("reps", [10 ** 19, 2 ** 63 - 1])
     def test_unallocatable_reps_exit_2_with_one_line(self, runner, tmp_path, reps):
