@@ -75,8 +75,9 @@ def rm_anova(data) -> AnovaTable:
         kind = values.dtype.kind
         if kind not in "iuf" and not (kind == "O" and all(map(is_real, values.flat))):
             raise TypeError  # bool, complex, text, None: no cast to float
-        values = values.astype(float, copy=False)
-    except OverflowError:
+        with np.errstate(over="raise"):  # a longdouble beyond float64 would cast to inf
+            values = values.astype(float, copy=False)
+    except (OverflowError, FloatingPointError):
         raise DomainError("a data matrix entry lies beyond the float range") from None
     except (TypeError, ValueError):
         raise DomainError("data must be a rectangular matrix of real numbers") from None

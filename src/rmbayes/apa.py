@@ -31,6 +31,23 @@ _F_REPORT = re.compile(
 _HALF_READ = re.compile(r"[eE]\S?\d|,\d")
 
 
+def _report_bounds(text: str, parts: int) -> list[int]:
+    """``parts`` + 1 offsets that cut ``text`` into contiguous parts whose ``_scan``
+    results, joined, are those of the whole text. Each inner cut is the first
+    character at or after its nominal point ``len(text)*i//parts`` that no match
+    can hold: no match crosses it, an end there shortens none, and, being neither
+    whitespace nor in "eE,", it changes no look-back or ``_HALF_READ``, which read
+    the whole text anyway."""
+    bounds = [0]
+    for part in range(1, parts):
+        # a character no match of _F_REPORT can hold; compiled on the first cut only,
+        # as re caches it, so a text read whole does not pay for it
+        no_report = re.compile(r"[^\d\s.eE+\-(),=<pP]")
+        cut = no_report.search(text, max(bounds[-1], len(text) * part // parts))
+        bounds.append(cut.start() if cut else len(text))
+    return bounds + [len(text)]
+
+
 @dataclass(frozen=True)
 class ReportedStat:
     """One reported F statistic.
@@ -57,19 +74,19 @@ def parse_reports(text: str) -> list[ReportedStat]:
     are matches that end inside a number, e.g. ``F(1, 22) = 4,3``.
     A p value outside [0, 1] is recorded as absent.
     """
-    return [ReportedStat(*fields) for fields in _scan(text)]
-
-
-def _scan(text: str) -> list[tuple]:
-    """``parse_reports`` as one tuple of ``ReportedStat`` fields per report."""
     # U+2212 and "-" are one character each, so spans still index ``text``
-    text = text.replace("\u2212", "-")
+    return [ReportedStat(*fields) for fields in _scan(text.replace("\u2212", "-"))]
+
+
+def _scan(text: str, start: int = 0, end: Optional[int] = None) -> list[tuple]:
+    """``parse_reports`` of a text whose U+2212 are already "-", as one tuple of
+    ``ReportedStat`` fields per report, for the matches within ``text[start:end]``."""
     reports = []
-    for match in _F_REPORT.finditer(text):
-        start = match.start()
-        while start and text[start - 1].isspace():  # str.isspace is re's \s
-            start -= 1
-        if not start or text[start - 1] not in "Ff" or _HALF_READ.match(text, match.end()):
+    for match in _F_REPORT.finditer(text, start, len(text) if end is None else end):
+        left = match.start()
+        while left and text[left - 1].isspace():  # str.isspace is re's \s
+            left -= 1
+        if not left or text[left - 1] not in "Ff" or _HALF_READ.match(text, match.end()):
             continue
         df1, df2, f_relation, f_value, p_relation, p_value = match.groups()
         df1, df2 = float(df1), float(df2)
@@ -83,7 +100,7 @@ def _scan(text: str) -> list[tuple]:
                 p_reported = candidate
                 p_is_upper = p_relation == "<"
         reports.append((float(f_value), df1, df2, p_reported, f_relation == "<",
-                        p_is_upper, (start - 1, match.end())))
+                        p_is_upper, (left - 1, match.end())))
     return reports
 
 

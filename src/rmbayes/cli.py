@@ -10,10 +10,12 @@ Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failu
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
 import sys
+from contextlib import closing
 from datetime import datetime, timezone
 from importlib import import_module
 from itertools import chain
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__
-from .apa import _rm_design, _scan
+from .apa import _report_bounds, _rm_design, _scan
 # unused here: perfbench's trace points patch them as rmbayes.cli globals (ROADMAP item 3)
 from .apa import infer_rm_design, parse_reports
 from .bayes import (
@@ -145,11 +147,16 @@ class _Unflushed:
 class _Main(click.Group):
     """The command group, and the one place where an error becomes an exit code:
     a DomainError exits 2 and an OSError 3, each after one ``error:`` line on
-    stderr. A closed pipe is left to click, which ends quietly with exit 1."""
+    stderr; a closed stdout (``>&-``) is an OSError too. A closed pipe is left to
+    click, which ends quietly with exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            result = super().invoke(ctx)
+            # after the command, so that its own error, if any, is the one reported
+            if sys.stdout is None:  # closed (>&-): click.echo dropped the report
+                raise OSError(errno.EBADF, "stdout is closed")
+            return result
         except BrokenPipeError:
             raise
         except (DomainError, OSError) as exc:
@@ -550,6 +557,20 @@ def _report_entry_json(stat, design, evidence, error) -> str:
     return template % values
 
 
+_PART_CHARS = 1 << 20  # the least text worth a forked part of `parse`
+
+
+def _part_count(chars: int) -> int:
+    """How many parts ``parse`` cuts a text of ``chars`` characters into: one per
+    usable CPU, of at least ``_PART_CHARS`` each, and 1 where forking is unsafe."""
+    parts = 1 + chars // _PART_CHARS
+    threading = sys.modules.get("threading")  # a thread can only run if this is loaded
+    if (parts == 1 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or (threading is not None and threading.active_count() > 1)):
+        return 1
+    return min(parts, len(os.sched_getaffinity(0)))
+
+
 @main.command("parse")
 @click.argument("text_path", required=False, type=click.Path(dir_okay=False, allow_dash=True))
 @click.option("--assume-rm/--no-assume-rm", default=True, show_default=True,
@@ -574,34 +595,50 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
         # read() decodes the whole input at once, so exc.start is its byte offset
         raise DomainError(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} "
                           f"({exc.reason})") from None
-
-    # infer_rm_design and bf01_minimal_rm on field tuples: the same checks, no dataclasses
-    evaluated = []
-    for stat in _scan(text):
-        design = evidence = error = None
-        if assume_rm:
-            try:
-                f_value, df1, df2 = stat[:3]
-                design = _rm_design(df1, df2)
-                _check_f(f_value)
-                evidence = _evidence(_log_bf01_minimal_rm(f_value, *design), prior_h0)
-            except DomainError as exc:
-                design, error = None, str(exc)
-        evaluated.append((stat, design, evidence, error))
+    text = text.replace("\u2212", "-")  # one character for one, so spans still index the input
 
     if as_json:
         head = _report_json("parse", {
             "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
         }, {"reports": []})
         lead = head[:-len("[]\n}")] + "[\n"  # "reports" is the last key
-        render, sep, tail = _report_entry_json, ",\n", "\n  ]\n}" if evaluated else head
+        render, sep, tail, empty = _report_entry_json, ",\n", "\n  ]\n}", head
     else:
-        lead, render, sep, tail = "", _report_line, "\n", "" if evaluated else "no F reports found"
-    for start in range(0, len(evaluated), _REPORT_BATCH):
-        batch = evaluated[start:start + _REPORT_BATCH]
-        click.echo(lead + sep.join(render(*row) for row in batch), nl=False)
-        lead = sep
-    click.echo(tail)
+        lead, render, sep, tail, empty = "", _report_line, "\n", "", "no F reports found"
+
+    def batches(start: int, end: int):
+        """The rendered reports within text[start:end], ``_REPORT_BATCH`` to a string."""
+        # infer_rm_design and bf01_minimal_rm on field tuples: the same checks, no dataclasses
+        stats = _scan(text, start, end)
+        for first in range(0, len(stats), _REPORT_BATCH):
+            rows = []
+            for stat in stats[first:first + _REPORT_BATCH]:
+                design = evidence = error = None
+                if assume_rm:
+                    try:
+                        f_value, df1, df2 = stat[:3]
+                        design = _rm_design(df1, df2)
+                        _check_f(f_value)
+                        evidence = _evidence(_log_bf01_minimal_rm(f_value, *design), prior_h0)
+                    except DomainError as exc:
+                        design, error = None, str(exc)
+                rows.append(render(stat, design, evidence, error))
+            yield sep.join(rows)
+
+    parts = _part_count(len(text))
+    if parts > 1:
+        from ._parts import in_parts
+
+        rendered = in_parts(batches, _report_bounds(text, parts), sep)
+    else:
+        rendered = batches(0, len(text))
+    echoed = False
+    with closing(rendered):  # a cut text's children are killed and reaped on any way out
+        for batch in rendered:  # echoed apart, so that a child's whole part is not copied
+            click.echo(sep if echoed else lead, nl=False)
+            click.echo(batch, nl=False)
+            echoed = True
+    click.echo(tail if echoed else empty)
 
 
 if __name__ == "__main__":

@@ -148,6 +148,8 @@ class TestRmAnova:
         [[True, 2], [3, 4], [5, 7]],  # read as 1, this matrix has a residual
         [[1, 2], [3, None]],
         [[10 ** 400, 1], [1, 2]],
+        np.array([[np.longdouble("1e400"), 1], [1, 2]]),
+        [[np.longdouble("1e400"), 1], [1, 2]],
     ])
     def test_invalid_inputs_raise(self, bad):
         with pytest.raises(DomainError):
@@ -156,6 +158,7 @@ class TestRmAnova:
     @pytest.mark.parametrize("bad, message", [
         ([[1, 2], [3, None]], "rectangular matrix of real numbers"),
         ([[10 ** 400, 1], [1, 2]], "beyond the float range"),
+        (np.array([[np.longdouble("1e400"), 1], [1, 2]]), "beyond the float range"),
     ])
     def test_invalid_input_messages(self, bad, message):
         with pytest.raises(DomainError, match=message):

@@ -19,7 +19,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from rmbayes import SimulationConfig, run_cell
-from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
+from rmbayes import cli
+from rmbayes.apa import ReportedStat, _report_bounds, infer_rm_design, parse_reports
 from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
@@ -894,6 +895,127 @@ class TestParse:
         assert _EVIDENCE_KEYS == tuple(sorted(field.name for field in fields(EvidenceResult)))
 
 
+# Cut into 5 parts, this text is cut inside a report, between an F and its "(", and
+# around a part without a report; its exponents are signed with U+2212
+_SPLIT_TEXT = ("F(2, 38) = 4.1, p = .03; " * 12 + "no report here. " * 25 + "F" + " \n" * 20
+               + "(1, 22) = 1.3e\u22122, p < 1e\u22123; " + "F(2, 38) = 9.1, p < .001; " * 6)
+_NO_REPORT_TEXT = "no report here. " * 60
+
+
+def without_timestamp(output):
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', output)
+
+
+class TestParseSplit:
+    """``parse`` on a text cut into parts, each part after the first rendered by a
+    forked child, writes the bytes of a run on one part and leaves no child behind."""
+
+    @staticmethod
+    def split(monkeypatch, cpus):
+        """Cut every text into as many parts as ``cpus``; the pids forked, as a list."""
+        monkeypatch.setattr(cli, "_PART_CHARS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @staticmethod
+    def open_fds():
+        return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+    def assert_nothing_left(self, fds):
+        """No child is left to reap and only the fds in ``fds`` are open."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self.open_fds() == fds
+
+    def test_the_text_is_cut_where_it_should_be(self):
+        text = _SPLIT_TEXT.replace("\u2212", "-")
+        spans = [stat.span for stat in parse_reports(_SPLIT_TEXT)]
+        nominal = [len(text) * part // 5 for part in range(1, 5)]
+        assert any(start < nominal[0] < end for start, end in spans)
+        assert text[:nominal[3]].rstrip().endswith("F")
+        assert text[nominal[3]:].lstrip().startswith("(1, 22)")
+        bounds = _report_bounds(text, 5)
+        assert not any(bounds[2] <= start < bounds[3] for start, _ in spans)
+        assert "\u2212" in _SPLIT_TEXT and not parse_reports(_NO_REPORT_TEXT)
+
+    @pytest.mark.parametrize("options", [[], ["--json"], ["--no-assume-rm"]])
+    @pytest.mark.parametrize("text", [_SPLIT_TEXT, _NO_REPORT_TEXT], ids=["reports", "none"])
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_output_is_the_bytes_of_one_part(self, runner, monkeypatch, tmp_path, cpus, text,
+                                             options):
+        path = tmp_path / "text.txt"
+        path.write_text(text, encoding="utf-8")
+        args = ["parse", str(path), *options]
+        whole = invoke(runner, args)
+        pids, fds = self.split(monkeypatch, cpus), self.open_fds()
+        parts = invoke(runner, args)
+        assert len(pids) == cpus - 1
+        assert whole.exit_code == parts.exit_code == 0
+        assert without_timestamp(parts.stdout) == without_timestamp(whole.stdout)
+        self.assert_nothing_left(fds)
+
+    def test_the_part_of_a_failed_child_is_rendered_by_the_parent(self, runner, monkeypatch,
+                                                                  tmp_path):
+        path = tmp_path / "text.txt"
+        path.write_text(_SPLIT_TEXT, encoding="utf-8")
+        whole = invoke(runner, ["parse", str(path)])
+        parent, scan = os.getpid(), cli._scan
+
+        def scan_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a failing child")
+            return scan(*args)
+        monkeypatch.setattr(cli, "_scan", scan_in_parent_only)
+        pids, fds = self.split(monkeypatch, 3), self.open_fds()
+        parts = invoke(runner, ["parse", str(path)])
+        assert len(pids) == 2
+        assert parts.exit_code == 0
+        assert parts.stdout == whole.stdout
+        self.assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("target,code", [("pipe", 1), ("full", 3)])
+    def test_a_failed_write_kills_every_child(self, monkeypatch, tmp_path, target, code):
+        if target == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        path = tmp_path / "text.txt"
+        path.write_text(_SPLIT_TEXT, encoding="utf-8")
+        parent, scan = os.getpid(), cli._scan
+
+        def slow_in_children(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # still running when the parent's first write fails
+            return scan(*args)
+        monkeypatch.setattr(cli, "_scan", slow_in_children)
+        fds = self.open_fds()
+        if target == "pipe":
+            read_fd, write_fd = os.pipe()
+            os.close(read_fd)
+            stream = open(write_fd, "w", encoding="utf-8")
+        else:
+            stream = open("/dev/full", "w", encoding="utf-8")
+        # click and the error boundary swap these for wrappers that do not flush
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(sys, "stderr", sys.stderr)
+        pids = self.split(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(["parse", str(path), "--json"], standalone_mode=False)
+        assert time.perf_counter() - start < 30
+        assert exit_info.value.code == code
+        assert len(pids) == 2
+        with contextlib.suppress(OSError):  # the failed write is still in its buffer
+            stream.close()
+        self.assert_nothing_left(fds)
+
+
 class TestErrorBoundary:
     """``main`` alone turns errors into exit codes: 2 for a DomainError, 3 for an
     OSError, and click's quiet 1 for a closed stdout pipe."""
@@ -957,6 +1079,34 @@ class TestErrorBoundary:
             main.main(["anova", missing], standalone_mode=False)
         assert exit_info.value.code == 3
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("args", [
+        ["bf", "--f", "1", "--n", "10", "--k", "3"],
+        ["bf-ss", "--sst", "100", "--ssa", "10", "--ssb", "30", "--n", "10", "--k", "3"],
+        ["anova", "DATA"],
+        ["parse", "TEXT", "--json"],
+        ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0", "--reps", "5", "--out-dir",
+         "OUT"],
+    ], ids=["bf", "bf-ss", "anova", "parse", "simulate"])
+    def test_closed_stdout_exits_3_with_one_line(self, monkeypatch, capsys, tmp_path, args):
+        # click.echo drops what it is given for a None stdout: the report is lost
+        write_csv(tmp_path / "data.csv", [[1, 2], [2, 4], [3, 5]])
+        (tmp_path / "text.txt").write_text("F(1, 22) = 1.336, p = .26", encoding="utf-8")
+        paths = {"DATA": tmp_path / "data.csv", "TEXT": tmp_path / "text.txt", "OUT": tmp_path}
+        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it for `>&-`
+        with pytest.raises(SystemExit) as exit_info:
+            main.main([str(paths.get(arg, arg)) for arg in args], standalone_mode=False)
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err == "error: [Errno 9] stdout is closed\n"
+
+    def test_closed_stdout_in_a_shell_exits_3(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m rmbayes.cli bf --f 1 --n 10 --k 3 >&-', sys.executable],
+            env=env, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 3
+        assert result.stderr == "error: [Errno 9] stdout is closed\n"
 
     @pytest.mark.parametrize("reps", [10 ** 19, 2 ** 63 - 1])
     def test_unallocatable_reps_exit_2_with_one_line(self, runner, tmp_path, reps):

@@ -27,6 +27,26 @@ RUN_CLI_POOL = (RUN_MAIN + 'print(sorted({"concurrent.futures.process", "multipr
                 ' & set(sys.modules)))\n')
 
 
+# ... with every text cut into three parts, two of them rendered by forked children;
+# then prints how many were forked and which of numpy and a process pool's modules
+# are loaded
+RUN_CLI_SPLIT = """
+import os, sys
+import rmbayes.cli
+rmbayes.cli._PART_CHARS = 16
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+forks, fork = [], os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+""" + RUN_MAIN + (
+    'print(len(forks), sorted({"numpy", "concurrent.futures.process", "multiprocessing"}'
+    ' & set(sys.modules)))\n')
+
+
 @pytest.fixture()
 def report_file(tmp_path):
     path = tmp_path / "report.txt"
@@ -47,6 +67,12 @@ def report_file(tmp_path):
 def test_cold_commands_leave_numpy_unloaded(report_file, args):
     args = [report_file if arg == "FILE" else arg for arg in args]
     assert fresh_python(RUN_CLI, args, stdin=REPORT) == "False"
+
+
+@pytest.mark.parametrize("args", [["parse", "FILE"], ["parse", "FILE", "--json"]])
+def test_split_parse_leaves_numpy_and_the_process_pool_unloaded(report_file, args):
+    args = [report_file if arg == "FILE" else arg for arg in args]
+    assert fresh_python(RUN_CLI_SPLIT, args) == "2 []"
 
 
 def test_anova_loads_numpy(tmp_path):
