@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResidualError, DomainError, is_real
+from .errors import DegenerateResidualError, DomainError, is_real, real
 
 __all__ = ["AnovaTable", "f_cdf", "rm_anova"]
 
@@ -171,19 +171,19 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     ------
     DomainError
         For x < 0, NaN x, degrees of freedom not positive and finite, or an
-        argument that is not a real number (``bool`` included).
+        argument that is not a real number (``bool`` included) or is past the float range.
     """
-    if not (is_real(df1) and is_real(df2) and 0 < df1 < math.inf and 0 < df2 < math.inf):
+    d1, d2 = real("df1", df1), real("df2", df2)
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
         raise DomainError(
             f"degrees of freedom must be positive and finite, got ({df1!r}, {df2!r})")
-    if not is_real(x) or math.isnan(x) or x < 0:
+    f = real("x", x)
+    if not f >= 0:
         raise DomainError(f"F statistic must be a nonnegative real, got {x!r}")
-    if math.isinf(x):
+    t = d1 * f
+    if t == math.inf:  # x or df1 * x beyond the float range: the limit
         return 1.0
-    if x == 0.0:
-        return 0.0
-    t = df1 * x
-    return _reg_incomplete_beta(0.5 * df1, 0.5 * df2, t / (t + df2))
+    return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2))
 
 
 def _reg_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .bayes import DesignSpec
-from .errors import DesignInferenceError, check_float_range
+from .errors import DesignInferenceError, real
 
 __all__ = ["ReportedStat", "infer_rm_design", "parse_reports"]
 
@@ -60,7 +59,7 @@ class ReportedStat:
     f_value: float
     df1: float
     df2: float
-    p_reported: Optional[float] = None
+    p_reported: float | None = None
     f_is_upper_bound: bool = False
     p_is_upper_bound: bool = False
     span: tuple[int, int] = (0, 0)
@@ -78,7 +77,7 @@ def parse_reports(text: str) -> list[ReportedStat]:
     return [ReportedStat(*fields) for fields in _scan(text.replace("\u2212", "-"))]
 
 
-def _scan(text: str, start: int = 0, end: Optional[int] = None) -> list[tuple]:
+def _scan(text: str, start: int = 0, end: int | None = None) -> list[tuple]:
     """``parse_reports`` of a text whose U+2212 are already "-", as one tuple of
     ``ReportedStat`` fields per report, for the matches within ``text[start:end]``."""
     reports = []
@@ -92,7 +91,7 @@ def _scan(text: str, start: int = 0, end: Optional[int] = None) -> list[tuple]:
         df1, df2 = float(df1), float(df2)
         if df1 < 1.0 or df2 < 1.0:
             continue
-        p_reported: Optional[float] = None
+        p_reported: float | None = None
         p_is_upper = False
         if p_value is not None:
             candidate = float(p_value)
@@ -122,12 +121,13 @@ def infer_rm_design(stat: ReportedStat) -> DesignSpec:
     return DesignSpec(*_rm_design(stat.df1, stat.df2))
 
 
-def _rm_design(df1: float, df2: float) -> tuple[int, int]:
+def _rm_design(df1, df2) -> tuple[int, int]:
     """``infer_rm_design`` on the dfs alone, as (n, k), with ``DesignSpec``'s
     float-range check on n*(k-1) and the errors of both."""
+    df1, df2 = real("df1", df1), real("df2", df2)
     if not (math.isfinite(df1) and math.isfinite(df2)):
         raise DesignInferenceError(f"degrees of freedom ({df1:g}, {df2:g}) are not finite")
-    if not float(df1).is_integer() or not float(df2).is_integer():
+    if not df1.is_integer() or not df2.is_integer():
         raise DesignInferenceError(
             f"decimal degrees of freedom ({df1:g}, {df2:g}) suggest a "
             "sphericity correction; the uncorrected integer dfs are required"
@@ -141,5 +141,5 @@ def _rm_design(df1: float, df2: float) -> tuple[int, int]:
     k = df1 + 1
     if n < 2:
         raise DesignInferenceError(f"dfs ({df1}, {df2}) imply fewer than 2 subjects")
-    check_float_range("n*(k-1)", n * (k - 1))
+    real("n*(k-1)", n * (k - 1))
     return n, k

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, as_int, check_float_range, is_real
+from .errors import DomainError, as_int, real
 
 __all__ = [
     "DesignSpec",
@@ -70,7 +70,7 @@ class DesignSpec:
         if k is None or k < 2:
             raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
         # the largest count the formulas take as a float
-        check_float_range("n*(k-1)", n * (k - 1))
+        real("n*(k-1)", n * (k - 1))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
@@ -107,10 +107,10 @@ class SummaryStats:
 
     def __post_init__(self) -> None:
         for name in ("ss_treatment", "ss_subjects", "ss_total"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite real, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = real(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite real, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         ssa, ssb, sst = self.ss_treatment, self.ss_subjects, self.ss_total
         if ssa < 0:
             raise DomainError(f"ss_treatment must be nonnegative, got {ssa!r}")
@@ -134,14 +134,18 @@ class SummaryStats:
         return self.ss_total - self.ss_treatment - self.ss_subjects
 
 
-def _check_prior(prior_h0: float) -> None:
-    if not (is_real(prior_h0) and 0.0 < prior_h0 < 1.0):
+def _check_prior(prior_h0) -> float:
+    prior = real("prior_h0", prior_h0)
+    if not 0.0 < prior < 1.0:
         raise DomainError(f"prior_h0 must lie strictly between 0 and 1, got {prior_h0!r}")
+    return prior
 
 
-def _check_f(f_stat: float) -> None:
-    if not is_real(f_stat) or math.isnan(f_stat) or math.isinf(f_stat) or f_stat < 0:
+def _check_f(f_stat) -> float:
+    f = real("f_stat", f_stat)
+    if not 0.0 <= f < math.inf:
         raise DomainError(f"F statistic must be a finite nonnegative real, got {f_stat!r}")
+    return f
 
 
 def _saturating_exp(x: float) -> tuple[float, bool]:
@@ -179,6 +183,8 @@ def _log_bf01_nathoo(n: int, k: int, ssa, ssb, sst, xp=math):
 
 def _evidence(log_bf01: float, prior_h0: float) -> tuple:
     """The fields of ``EvidenceResult`` after ``method``, as a tuple."""
+    if not math.isfinite(log_bf01):  # inf, or inf - inf: the posteriors would be NaN
+        raise DomainError(f"log BF01 is {log_bf01}: a BIC term overflows the float range")
     bf01, hi = _saturating_exp(log_bf01)
     bf10, lo = _saturating_exp(-log_bf01)
     posterior_h0 = _posterior_h0(log_bf01, prior_h0)
@@ -193,18 +199,15 @@ def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
     log BF01 = [df1 * ln(N) - N * ln(1 + F * df1 / df2)] / 2 with N = n_obs
     independent observations.
     """
-    _check_f(f_stat)
-    _check_prior(prior_h0)
+    f, prior = _check_f(f_stat), _check_prior(prior_h0)
     dfs = as_int(df1), as_int(df2)
     if None in dfs or min(dfs) < 1:
         raise DomainError(f"degrees of freedom must be integers >= 1, got ({df1!r}, {df2!r})")
     n = as_int(n_obs)
     if n is None or n < 2:
         raise DomainError(f"need at least 2 observations, got n_obs={n_obs!r}")
-    for name, value in (("df1", dfs[0]), ("df2", dfs[1]), ("n_obs", n)):
-        check_float_range(name, value)
-    log_bf01 = _log_bf01_between(f_stat, *dfs, n)
-    return EvidenceResult(Method.BETWEEN_SUBJECTS, *_evidence(log_bf01, prior_h0))
+    log_bf01 = _log_bf01_between(f, real("df1", dfs[0]), real("df2", dfs[1]), real("n_obs", n))
+    return EvidenceResult(Method.BETWEEN_SUBJECTS, *_evidence(log_bf01, prior))
 
 
 def bf01_minimal_rm(f_stat: float, design: DesignSpec,
@@ -218,10 +221,9 @@ def bf01_minimal_rm(f_stat: float, design: DesignSpec,
     """
     if not isinstance(design, DesignSpec):
         raise DomainError(f"design must be a DesignSpec, got {type(design).__name__}")
-    _check_f(f_stat)
-    _check_prior(prior_h0)
-    log_bf01 = _log_bf01_minimal_rm(f_stat, design.n, design.k)
-    return EvidenceResult(Method.MINIMAL_RM, *_evidence(log_bf01, prior_h0))
+    f, prior = _check_f(f_stat), _check_prior(prior_h0)
+    log_bf01 = _log_bf01_minimal_rm(f, design.n, design.k)
+    return EvidenceResult(Method.MINIMAL_RM, *_evidence(log_bf01, prior))
 
 
 def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResult:
@@ -234,10 +236,10 @@ def delta_bic_nathoo(stats: SummaryStats, prior_h0: float = 0.5) -> EvidenceResu
     """
     if not isinstance(stats, SummaryStats):
         raise DomainError(f"stats must be a SummaryStats, got {type(stats).__name__}")
-    _check_prior(prior_h0)
+    prior = _check_prior(prior_h0)
     log_bf01 = _log_bf01_nathoo(stats.design.n, stats.design.k, stats.ss_treatment,
                                 stats.ss_subjects, stats.ss_total)
-    return EvidenceResult(Method.NATHOO_MASSON, *_evidence(log_bf01, prior_h0))
+    return EvidenceResult(Method.NATHOO_MASSON, *_evidence(log_bf01, prior))
 
 
 def choose_model(result: EvidenceResult) -> ModelChoice:

@@ -14,6 +14,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 from contextlib import closing
 from datetime import datetime, timezone
@@ -97,13 +98,13 @@ class UInt64(click.ParamType):
     name = "uint64"
 
     def convert(self, value, param, ctx):
+        digits = re.fullmatch(r"0[xX]([0-9a-fA-F]+)|0*([0-9]+)", str(value))
         if isinstance(value, int):
             parsed = value
+        elif digits:  # 0x-hex, or decimal after leading zeros: 21 digits already pass 2**64
+            parsed = int(digits[1], 16) if digits[1] else int(digits[2][:21])
         else:
-            try:
-                parsed = int(str(value), 0)
-            except ValueError:
-                self.fail(f"{value!r} is not a decimal or 0x-hex integer", param, ctx)
+            self.fail(f"{value!r} is not a decimal or 0x-hex integer", param, ctx)
         if not 0 <= parsed < 2 ** 64:
             self.fail(f"{value!r} does not fit in an unsigned 64-bit integer", param, ctx)
         return parsed
@@ -618,7 +619,7 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
                     try:
                         f_value, df1, df2 = stat[:3]
                         design = _rm_design(df1, df2)
-                        _check_f(f_value)
+                        f_value = _check_f(f_value)
                         evidence = _evidence(_log_bf01_minimal_rm(f_value, *design), prior_h0)
                     except DomainError as exc:
                         design, error = None, str(exc)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
-from typing import Optional
 
 __all__ = ["DegenerateResidualError", "DesignInferenceError", "DomainError"]
 
@@ -23,7 +23,7 @@ class DesignInferenceError(DomainError):
     repeated-measures design, so (n, k) cannot be recovered from them."""
 
 
-def as_int(value) -> Optional[int]:
+def as_int(value) -> int | None:
     """``value`` as a Python int when it is an integer, numpy integers
     included; None for anything else, ``bool`` too."""
     if isinstance(value, bool):
@@ -37,17 +37,24 @@ def as_int(value) -> Optional[int]:
 def is_real(value) -> bool:
     """Whether ``value`` is a real number: any ``numbers.Real``, numpy
     scalars included, but not ``bool``."""
-    if isinstance(value, float):  # the common case, without the ABC check
+    if type(value) is int or isinstance(value, float):  # the common cases, no ABC check
         return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_float_range(name: str, value: int) -> None:
-    """Raise DomainError, naming ``value``, for an integer too large for a float:
-    the formulas would otherwise stop with an OverflowError."""
+def real(name: str, value) -> float:
+    """``value`` as a float; NaN, which every domain check rejects, for a non-real (``bool``
+    too); DomainError for a real beyond the float range, which float() refuses or makes inf."""
+    if type(value) is float:  # float and int, the common cases, skip the ABC check
+        return value
+    if type(value) is not int and not is_real(value):
+        return math.nan
     try:
-        float(value)
+        result = float(value)
+        if not math.isinf(result) or value == result:
+            return result
     except OverflowError:
-        from decimal import Context, Decimal  # only here: str() of a long int may raise
-        shown = Context(prec=17).normalize(Decimal(value))
-        raise DomainError(f"{name} = {shown:g} lies beyond the float range") from None
+        pass
+    from decimal import Context, Decimal  # only here: str() of a long int may raise
+    shown = Context(prec=17).normalize(Decimal(int(value)))
+    raise DomainError(f"{name} = {shown:g} lies beyond the float range")

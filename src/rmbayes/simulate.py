@@ -57,13 +57,13 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .anova import _decompose
 from .bayes import DesignSpec, _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
-from .errors import DegenerateResidualError, DomainError, as_int, is_real
+from .errors import DegenerateResidualError, DomainError, as_int, real
 
 __all__ = [
     "CellResult",
@@ -115,11 +115,12 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         design = DesignSpec(self.n, self.k)
         reps, seed = as_int(self.reps), as_int(self.master_seed)
-        if not (is_real(self.rho) and 0.0 <= self.rho < 1.0):
+        rho, delta = real("rho", self.rho), real("delta", self.delta)
+        if not 0.0 <= rho < 1.0:
             raise DomainError(
                 f"intraclass correlation must lie in [0, 1), got rho={self.rho!r}"
             )
-        if not (is_real(self.delta) and math.isfinite(self.delta) and self.delta >= 0):
+        if not 0.0 <= delta < math.inf:
             raise DomainError(f"effect size must be a finite nonnegative real, got {self.delta!r}")
         if reps is None or reps < 1:
             raise DomainError(f"need at least 1 replication, got reps={self.reps!r}")
@@ -128,8 +129,7 @@ class SimulationConfig:
         if self.spacing not in _SPACINGS:
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         for name, value in (("n", design.n), ("k", design.k), ("reps", reps),
-                            ("master_seed", seed), ("rho", float(self.rho)),
-                            ("delta", float(self.delta))):
+                            ("master_seed", seed), ("rho", rho), ("delta", delta)):
             object.__setattr__(self, name, value)
 
     @property
@@ -192,7 +192,7 @@ class CellResult:
     accuracy_min: float
     accuracy_nm: float
     consistency: float
-    posterior_correlation: Optional[float]
+    posterior_correlation: float | None
     posterior_quantiles_min: FiveNumberSummary
     posterior_quantiles_nm: FiveNumberSummary
     series: RepSeries
@@ -427,7 +427,7 @@ def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
     return alphas + subject[:, None] + noise
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     if len(x) < 2:
         return None
     xd = x - x.mean()
@@ -448,20 +448,20 @@ def run_cell(config: SimulationConfig) -> CellResult:
     ``_BLOCK_VALUES`` data values, each block as one batched pass.  A
     degenerate decomposition aborts the cell with the cell id and
     replication index attached (probability zero for continuous data), and
-    so does a ``reps`` whose result arrays cannot be allocated.
+    so does a cell whose arrays cannot be allocated, for its n, k or ``reps``.
     """
     n, k, reps = config.n, config.k, config.reps
     block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
-    # one draw per replication fills its row: the n subject effects, then the n*k
-    # noise values, the order in which generate_dataset draws them
-    normals = np.empty((block, n * (k + 1)))
-    subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
-    data = np.empty((block, n, k))
     try:
+        # one draw per replication fills its row: the n subject effects, then the n*k
+        # noise values, the order in which generate_dataset draws them
+        normals = np.empty((block, n * (k + 1)))
+        data = np.empty((block, n, k))
         f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
     except (MemoryError, ValueError):
         raise DomainError(f"cell {config.cell_id}: reps={reps} replications do not fit "
                           "in memory") from None
+    subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
     substream = _substream_factory()
 
     for first in range(0, reps, block):

@@ -356,3 +356,30 @@ class TestEvidenceResultInvariants:
         weighted = result.bf01 * 0.25
         expected = weighted / (weighted + 0.75)
         assert result.posterior_h0 == pytest.approx(expected, rel=1e-12)
+
+
+class TestUndefinedLogBf:
+    """Where a BIC term of log BF01 overflows, log BF01 is inf or inf - inf and the
+    posteriors would be NaN: each route raises DomainError instead."""
+
+    @pytest.mark.parametrize("call, log_bf01", [
+        pytest.param(lambda: bf01_minimal_rm(1e300, DesignSpec(2, 10 ** 306)), "nan",
+                     id="minimal-both-terms"),
+        pytest.param(lambda: bf01_minimal_rm(0.0, DesignSpec(2, 10 ** 306)), "inf",
+                     id="minimal-penalty"),
+        pytest.param(lambda: delta_bic_nathoo(SummaryStats(1.0, 1.0, 1e200,
+                                                           DesignSpec(2, 10 ** 306))),
+                     "inf", id="nathoo"),
+        pytest.param(lambda: bf01_between(1e300, 10 ** 307, 1, 10 ** 308), "nan",
+                     id="between"),
+    ])
+    def test_domain_error_names_the_overflow(self, call, log_bf01):
+        with pytest.raises(DomainError, match=f"^log BF01 is {log_bf01}: a BIC term "
+                                              "overflows the float range$"):
+            call()
+
+    def test_the_largest_finite_log_bf_still_evaluates(self):
+        # the penalty alone, just inside the float range: saturated, not an error
+        result = bf01_minimal_rm(0.0, DesignSpec(2, 10 ** 305))
+        assert result.saturated and result.posterior_h0 == 1.0 and result.posterior_h1 == 0.0
+        assert math.isfinite(result.log_bf01)

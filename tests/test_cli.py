@@ -255,6 +255,16 @@ def test_design_past_the_float_range_exit_2(runner, command):
     assert result.stderr == "error: n*(k-1) = 2e+400 lies beyond the float range\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_overflowing_log_bf_exit_2(runner, as_json):
+    # (k-1) ln(n(k-1)) overflows: the report once printed p(H0 | y) : nan, or NaN in JSON
+    result = runner.invoke(main, ["bf", "--f", "0", "--n", "2", "--k", "1" + "0" * 306,
+                                  *["--json"] * as_json])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: log BF01 is inf: a BIC term overflows the float range\n"
+
+
 class TestAnova:
     def test_reported_dataset_rendering(self, runner, tmp_path):
         path = tmp_path / "shift.csv"
@@ -628,6 +638,33 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--seed", "banana",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_seed_with_leading_zeros_is_decimal(self, runner, tmp_path):
+        for seed in ("10", "010"):
+            invoke(runner, ["simulate", "--n", "6", "--rho", "0.2", "--delta", "0,0.5",
+                            "--reps", "5", "--seed", seed, "--out-dir", str(tmp_path / seed)])
+        for name in ("table2.csv", "table3.csv", "table4.csv", "boxplot_data.csv",
+                     "scatter_data.csv"):
+            assert (tmp_path / "010" / name).read_bytes() == (tmp_path / "10" / name).read_bytes()
+        assert json.loads((tmp_path / "010" / "grid_report.json").read_text())[
+            "manifest"]["seed"] == 10
+
+    # forms int() reads that the help does not name, and a bare prefix; U+0663 is an
+    # Arabic-Indic 3
+    @pytest.mark.parametrize("seed", ["0b11", "0o17", "1_0", " 10", "+10", "0x", "\u0663"])
+    def test_seed_neither_decimal_nor_hex_exit_2(self, runner, tmp_path, seed):
+        result = runner.invoke(main, ["simulate", "--seed", seed, "--reps", "1",
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "is not a decimal or 0x-hex integer" in result.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_seed_of_many_digits_does_not_fit(self, runner, tmp_path):
+        # more digits than int() reads from text, and still no traceback
+        result = runner.invoke(main, ["simulate", "--seed", "1" * 5000, "--reps", "1",
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "does not fit in an unsigned 64-bit integer" in result.stderr
 
 
 class TestSeededOutputBytes:

@@ -339,6 +339,15 @@ class TestRunCell:
         with pytest.raises(DomainError, match=rf"^cell n20_k3_rho0\.2_delta0: reps={reps} "):
             run_cell(config_for(reps=reps))
 
+    # a block's working arrays past what numpy can allocate, for one replication;
+    # they once raised numpy's MemoryError or ValueError, with a traceback in the CLI
+    @pytest.mark.parametrize("n, k", [(2 ** 50, 3), (2 ** 62, 3), (10, 2 ** 61)])
+    def test_unallocatable_design_raises_domain_error_naming_the_cell(self, n, k):
+        config = config_for(n=n, k=k, reps=1)
+        with pytest.raises(DomainError, match=rf"^cell {config.cell_id}: reps=1 replications "
+                                              "do not fit in memory$"):
+            run_cell(config)
+
 
 class TestBatchedCore:
     @pytest.mark.parametrize("kwargs", [
