@@ -130,6 +130,9 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     not vanish too, else 0 -- the only consistent completion for constant
     rows or identical columns -- and SSR is clamped at 0.  Entries must be
     finite; no p-value is computed.
+
+    No step calls BLAS: unoptimized ``einsum`` forms the sums of squares in
+    numpy's own loops, so no digit follows the BLAS kernel or thread count.
     """
     _, n, k = stack.shape
     # numpy reductions sum pairwise, which keeps the partition identity
@@ -139,8 +142,8 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     col_dev = (np.ascontiguousarray(stack.transpose(1, 0, 2)).sum(axis=0) / n
                - grand[:, np.newaxis])
     row_dev = stack.mean(axis=2) - grand[:, np.newaxis]
-    ss_treatment = n * _row_dots(col_dev)
-    ss_subjects = k * _row_dots(row_dev)
+    ss_treatment = n * np.einsum("ij,ij->i", col_dev, col_dev)
+    ss_subjects = k * np.einsum("ij,ij->i", row_dev, row_dev)
     centered = stack - grand[:, np.newaxis, np.newaxis]
     ss_total = np.square(centered, out=centered).sum(axis=(1, 2))
     ss_residual = ss_total - ss_treatment - ss_subjects
@@ -152,12 +155,6 @@ def _decompose(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     f_stat[flat & (ss_treatment > tol)] = np.inf
     np.maximum(ss_residual, 0.0, out=ss_residual)
     return ss_treatment, ss_subjects, ss_residual, ss_total, f_stat
-
-
-def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """``row @ row`` for every row of a 2-d array, by a stacked matmul: the
-    same dot kernel as one ``@``, and available before numpy 2's vecdot."""
-    return (rows[:, np.newaxis, :] @ rows[:, :, np.newaxis])[:, 0, 0]
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:

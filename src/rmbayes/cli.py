@@ -177,8 +177,8 @@ class _Main(click.Group):
 def main() -> None:
     """Bayes factors for repeated-measures ANOVA from minimal summary
     statistics."""
-    # before numpy loads: OpenBLAS splits a long dot product across threads, so
-    # its rounding, and anova's digits, would follow the core count
+    # before numpy loads: no rmbayes computation calls BLAS, but OpenBLAS would
+    # start an idle thread pool that spins CPU time, copied by every --workers fork
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 

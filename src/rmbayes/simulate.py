@@ -432,11 +432,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
         return None
     xd = x - x.mean()
     yd = y - y.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
+    sx = math.sqrt(float(np.einsum("i,i->", xd, xd)))  # einsum: no BLAS, as in anova
+    sy = math.sqrt(float(np.einsum("i,i->", yd, yd)))
     if sx == 0.0 or sy == 0.0:
         return None
-    return max(-1.0, min(1.0, float((xd @ yd) / (sx * sy))))
+    return max(-1.0, min(1.0, float(np.einsum("i,i->", xd, yd)) / (sx * sy)))
 
 
 def run_cell(config: SimulationConfig) -> CellResult:

@@ -10,10 +10,12 @@ from scipy import integrate
 from scipy.special import fdtr
 
 from rmbayes import DesignSpec, f_cdf, rm_anova
-from rmbayes.anova import _decompose, _row_dots
+from rmbayes.anova import _decompose
 from rmbayes.errors import DegenerateResidualError, DomainError
 
-from conftest import definitional_anova
+from conftest import definitional_anova, fresh_python
+
+EPS = np.finfo(float).eps
 
 
 def f_density(t: float, d1: float, d2: float) -> float:
@@ -164,6 +166,17 @@ class TestRmAnova:
         with pytest.raises(DomainError, match=message):
             rm_anova(bad)
 
+    def test_digits_do_not_follow_the_blas_thread_count(self, monkeypatch):
+        # the library pins no BLAS setting, and OpenBLAS reads its thread count
+        # when numpy loads: so each run is a fresh interpreter
+        code = ("import numpy as np, rmbayes; print(repr(rmbayes.rm_anova("
+                "500 + np.random.default_rng(20).normal(size=(20_000, 3)))))")
+        tables = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            tables.add(fresh_python(code))
+        assert len(tables) == 1
+
     def test_fraction_matrix_matches_its_float_twin(self):
         exact = [[Fraction(1, 3), Fraction(5, 2)], [Fraction(7, 4), Fraction(2, 9)],
                  [Fraction(3), Fraction(-1, 7)]]
@@ -177,7 +190,8 @@ class TestDecompose:
         follow from it and from code the column means do not touch."""
         _, n, _ = stack.shape
         grand = stack.mean(axis=(1, 2))
-        return n * _row_dots(stack.mean(axis=1) - grand[:, np.newaxis])
+        col_dev = stack.mean(axis=1) - grand[:, np.newaxis]
+        return n * np.einsum("ij,ij->i", col_dev, col_dev)
 
     def assert_same_bits(self, stack):
         assert (_decompose(stack)[0].tobytes()
@@ -193,6 +207,57 @@ class TestDecompose:
     def test_column_means_of_one_tall_matrix(self):
         rng = np.random.default_rng(78)
         self.assert_same_bits(500.0 + rng.normal(size=(1, 10 ** 5, 3)))
+
+
+class TestDecomposeOracle:
+    """SSA, SSB and SST of ``_decompose`` against a two-pass ``math.fsum``
+    oracle, on large and badly scaled stacks."""
+
+    @staticmethod
+    def two_pass(matrix):
+        """(SSA, SSB, SST) from correctly rounded means, then correctly
+        rounded sums of the squared deviations."""
+        rows = matrix.tolist()
+        n, k = len(rows), len(rows[0])
+        grand = math.fsum(map(math.fsum, rows)) / (n * k)
+        col_means = [math.fsum(row[j] for row in rows) / n for j in range(k)]
+        row_means = [math.fsum(row) / k for row in rows]
+        return (n * math.fsum((m - grand) ** 2 for m in col_means),
+                k * math.fsum((m - grand) ** 2 for m in row_means),
+                math.fsum((v - grand) ** 2 for row in rows for v in row))
+
+    @staticmethod
+    def bound(ss, size, big, mean_len, terms):
+        """Worst-case gap between two evaluations of ``ss`` = w * sum(d_i**2)
+        over size/w deviations d_i of a mean of ``mean_len`` entries (0 for
+        the entries themselves) from the grand mean, all entries at most
+        ``big`` in magnitude.  Each d_i is off by at most u = (mean_len + 32)
+        eps big: the mean's sum in any order, the grand mean's pairwise sum
+        (fewer than 32 levels here), the subtractions and the oracle's own
+        roundings.  As w * sum|d_i| <= sqrt(size * ss), the squares then move
+        by at most 2 u sqrt(size * ss) + size u**2, and squaring, weighting
+        and summing ``terms`` of them in any order add (terms + 2) eps ss."""
+        u = (mean_len + 32) * EPS * big
+        return 2 * u * math.sqrt(size * ss) + size * u * u + (terms + 2) * EPS * ss
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), n=st.integers(2, 300), k=st.integers(2, 9),
+           offset=st.floats(-1e6, 1e6), log_scale=st.floats(-6, 6),
+           spread=st.floats(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_sums_of_squares_match_the_fsum_oracle(self, m, n, k, offset, log_scale,
+                                                   spread, seed):
+        rng = np.random.default_rng(seed)
+        # entries spread over up to `spread` decades around the scale
+        noise = rng.normal(size=(m, n, k)) * 10.0 ** rng.uniform(0, spread, (m, n, k))
+        stack = offset + 10.0 ** log_scale * noise
+        ssa, ssb, _, sst, _ = _decompose(stack)
+        for i, matrix in enumerate(stack):
+            big = float(np.abs(matrix).max())
+            for got, want, mean_len, terms in zip(
+                    (ssa[i], ssb[i], sst[i]), self.two_pass(matrix),
+                    (n, k, 0), (k, n, n * k)):
+                assert abs(got - want) <= self.bound(want, n * k, big, mean_len, terms), (
+                    got, want)
 
 
 class TestDesignSpec:

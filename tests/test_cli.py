@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -376,22 +377,35 @@ class TestAnova:
         assert result.stderr == "error: line 3 contains a non-numeric cell\n"
 
     def test_digits_do_not_follow_the_blas_thread_count(self, tmp_path):
-        # OpenBLAS splits a dot product of 20 000 values across its threads, whose
-        # number is fixed when numpy loads: so each run is a fresh interpreter
+        # OpenBLAS would split a dot product of 20 000 values across its threads,
+        # and round by its CPU kernel, both fixed when numpy loads: so each run is
+        # a fresh interpreter. Prescott is the one kernel every x86-64 CPU runs
         path = tmp_path / "wide.csv"
         write_csv(path, 500.0 + np.random.default_rng(20).normal(size=(20_000, 3)))
-        outputs = set()
-        for threads in (None, "1", "2"):
-            env = {name: value for name, value in os.environ.items()
-                   if name != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            out = subprocess.run(
-                [sys.executable, "-m", "rmbayes.cli", "anova", str(path), "--bf", "--json"],
-                env=env, capture_output=True, text=True, check=True).stdout
-            outputs.add(re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out))
-        assert len(outputs) == 1
+        out_dir = tmp_path / "cell"
+        commands = {
+            "anova": ["anova", str(path), "--bf", "--json"],
+            "simulate": ["simulate", "--n", "80", "--rho", "0.2", "--delta", "0.5",
+                         "--reps", "50", "--seed", "12345", "--emit-per-rep",
+                         "--out-dir", str(out_dir)],
+        }
+        variants = [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+        if platform.machine() in ("x86_64", "AMD64"):
+            variants.append({"OPENBLAS_CORETYPE": "Prescott"})
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        for command, args in commands.items():
+            outputs = set()
+            for variant in variants:
+                out = subprocess.run([sys.executable, "-m", "rmbayes.cli", *args],
+                                     env={**env, **variant}, capture_output=True, text=True,
+                                     check=True).stdout
+                if command == "simulate":
+                    out = "".join(f"{file.name}\n{file.read_text(encoding='utf-8')}"
+                                  for file in sorted(out_dir.iterdir()))
+                outputs.add(re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out))
+            assert len(outputs) == 1, command
 
     def test_non_numeric_cell_exit_2(self, runner, tmp_path):
         path = tmp_path / "words.csv"
@@ -685,49 +699,49 @@ class TestSeededOutputBytes:
     }
     DIGESTS = {
     "k3-uniform": {
-        "boxplot_data.csv": "bb97673c686a99788139a6638ed5284983f0515c56e053612ec6f254813dba6e",
-        "grid_report.json": "65b13fb2b161523e0a7fbac2511cc19b129f692d4094ae9ef19ef2b484131179",
-        "per_rep.csv": "8fe0507c6a8c2f8ee63ec7e90a71ec295a8ec74f1b34f5ea5798a6614c2d42e4",
-        "scatter_data.csv": "846ec1af13d0b90c67f03c114f1bdb6a28e0aea4aa0bb37e1faabb46b41e85c7",
+        "boxplot_data.csv": "afab4f9ad8895e90100cc884197530e3630083d0a9ffebbf19246001c1b9c64a",
+        "grid_report.json": "0a1de0520b7a33b80dad04a606248af643a48faec1f88bd47da6264923be85a2",
+        "per_rep.csv": "98f5abc5881dae7bde134fde5c02cfbe6413c2d784b0d5e314b4f747b1696f79",
+        "scatter_data.csv": "4e90828c186d5d7af4ac151a928e4471a06bbdd10e5b14661541a67ac010cf9d",
         "table2.csv": "719d7a98e781c09b5bf654f7d8384697914dbc1c9008f287d7d47a423667190d",
         "table3.csv": "2f8dc71fd4a4ded091d2f6809bbc6ec9ef85a4dc5ef235728cf464ac014928bb",
-        "table4.csv": "9b1414c6c6fb4af65884e304ebc61e4fd7acb834ddecf30c6ad07cb915aadff6",
+        "table4.csv": "626f37fce9097b43eb69459b9d7878a3167e485b2e56dd3f7c0a50d0aedd084e",
     },
     "k5-uniform": {
-        "boxplot_data.csv": "4b387f6bd40293ebb0d5d01f93618ca8a295fa337d55512edd2e6e05281cf443",
-        "grid_report.json": "c97cc490556c020bae381e7d08d74eb55ba6e03e47c68e9108d42f0c0361c472",
-        "per_rep.csv": "c456ecf7e56a3eb8021b8a7df60218cb54b451b246b1779e77fb660999ef1ea8",
-        "scatter_data.csv": "2c5ac177323e93d254dce5227a8d691b71cdce11f7c6781ed5ec47d6ec1c4d78",
+        "boxplot_data.csv": "38a49417f8fb81f285a7f6be6c2a248ae463f8d090aac7c36e29e9b0149d1ec0",
+        "grid_report.json": "bd1b553b22f9e2e24bfddbf60542bddc9063d8801bdf62b0f12cf5f08cf8668e",
+        "per_rep.csv": "5a65ff9b3ca5d609f34fbd1b5ef2a71d65e4455f48c683a0e5b6241a4dab4887",
+        "scatter_data.csv": "1d502bc647d0c81e9907f39c9cd2e6d636b093afe571525413d9b3eee6485867",
         "table2.csv": "45e02f6564c7e7fddf5326abbc2d23d557d75ef4662c652fcb883c73edf00c77",
         "table3.csv": "028bbf858109bb2cd822588692969b2918e6e95517820d3d2f96ec2a650e685a",
-        "table4.csv": "f58d95baafce3b9eedbb23c75cbd429c0104fa65ff0630491d41982e4cca0d83",
+        "table4.csv": "46bc93250e3086b829f50a8fa8d38008b428eb4a7c727714f3499171adae04f5",
     },
     "k2": {
-        "boxplot_data.csv": "473273d2fa385b18206f2adcba5917ccea8f8b24dc048085d80b42d57f8f6989",
-        "grid_report.json": "5f41f059718f1216c7761f5b6ce27c6734c2884511bbd47990841b760f175e8e",
-        "per_rep.csv": "69f08571f970d903b14cb4b037b2b357711354ca451e31636d725733f053911f",
-        "scatter_data.csv": "ec275e6220c14d96e93366134ad2ab0f0e96ce3eb7955d85d287480b56f4d315",
+        "boxplot_data.csv": "3e2f5819bdfac5e64a60542fe348776648c79cc40ba9aace2ad7879d38ee47c1",
+        "grid_report.json": "6f366191208902a61375d978ae6bbc60ff9236a1c5b1c1393b171999266eefe3",
+        "per_rep.csv": "2e98e246511f36fec8f0f14e12fd411028eab94e0c83a61130a0afcfa9b24e7f",
+        "scatter_data.csv": "78c99f181889d38170eb48462d07cc1a6c0a6e8dfe2601356a4cef31a74b4313",
         "table2.csv": "91bcf8b917489ffd09d450dc89c98514f2cbbf65ddf3d167bdd8f8ad3a0a8bd5",
         "table3.csv": "c26fe4f049a1521379f7b8e2e714c782833c79719b4cce38fd4dc2ddb46580c5",
-        "table4.csv": "f0d9ba99530eefa725f77b46c718e88253e4bcc52725eac06556b2e35f6aa8b5",
+        "table4.csv": "e65066c4ec78cc0dd1136133cbf6169812bc6644b51de4f60716915a62630456",
     },
     "k4-equal": {
-        "boxplot_data.csv": "9f09b0ffdcefb1bc9e4252b37c3896bef4f887004b1495cd83a68fab7dc35e14",
-        "grid_report.json": "411f4900aaac7ed3e20cd6d72fc4e48e5afa029f21b4066738363a94d91cc121",
-        "per_rep.csv": "9db8d8dc8c3e95dad44fdee7b74a407bd0a647dea170d5dec799de68628f52f1",
-        "scatter_data.csv": "57f3528574cd755014646d3e7941a233161c182a81326c50ebe78f638fc5ef8d",
+        "boxplot_data.csv": "7dc73c09143960cdb52a7c817d05adf4294fdc5e8604f0f51f8172a5ad48b02a",
+        "grid_report.json": "b2f353524da1389d6569b00791ea429a7716616d61232b1c6232b8ff04eb9ecd",
+        "per_rep.csv": "f8330a4427978cecc622b8df9478b4a788eee8eec7fd7c437d47e9ec6c3d72fd",
+        "scatter_data.csv": "08d4ac1b5d1c45d488d82da1cff8f24afc2e60244096131e51deed00aacad782",
         "table2.csv": "6b91900de7fd1122d2a9984fd3128061a28ab7f8f13a605d4cd78509ad7dbd49",
         "table3.csv": "fcb384882c1a3107721e6f96d3bd47a78c576144aecae34e78eceaa731a50825",
-        "table4.csv": "e8f83b52de8bab010dce4d80eeb98bd6f14eaabc8356e885379c5519c218dd96",
+        "table4.csv": "2771217817fca8ba3ba6ab1a21f5535bce24c494a54deea06a0d3724941859a9",
     },
     "k3-rho0": {
-        "boxplot_data.csv": "2862e5ad972da75ce54228878054b564f2dc408a02ca778ee33396b6291147c2",
-        "grid_report.json": "b09af92a36fc7ece46aa8e6eeaf59d78cb27adac46b1fcb0906c6e97fc79702c",
-        "per_rep.csv": "f4518754e683c2863876287d1bd4a0552f73657bebe071d9f213fa590fa39399",
-        "scatter_data.csv": "dabd42cb75702d315d55a22dcfc27fe71b2b342b9875306ea9fac08b7cd44763",
+        "boxplot_data.csv": "f39c50e50f2acfe02830f320ce7b806139e5d28660f001238e842bbe69105ef8",
+        "grid_report.json": "c636c2e35236095777dfc35c3b347ee2b299e8544ab8879761d5ac1cb8d6e6c0",
+        "per_rep.csv": "60dff7651493e5c2daa0d5e12743a8385a078c2470d419f19a8cf55413eac473",
+        "scatter_data.csv": "2834e0a5e70f3e5ed66d2b57ba262b6b346eefacdb45d79dfbdee2223e654e83",
         "table2.csv": "4850102742d68bd3b4097a9166582490fa60eed02c78e3ea552bf91fde0362a0",
         "table3.csv": "428f0d8e924a80ef03a304be7f5116b1ec90cd5e19f86768570b52257ae5d911",
-        "table4.csv": "14ce889e076c7941aff75bd4e25fb268df5d1d2d8281d1f1cd6b14a6564c65b1",
+        "table4.csv": "fe83c96e40cb55e897ccf66ef6f3a942ea854e9f4050574a0da2dad84de9e0eb",
     },
     }
     # the manifest's run-dependent values

@@ -109,7 +109,7 @@ class TestSubstreams:
         config = SimulationConfig(n=20, rho=0.2, delta=0.5, master_seed=12345)
         f_stat = run_cell(config).series.f_stat
         assert [repr(f) for f in f_stat[:3].tolist()] == [
-            "1.6451131768306844", "1.4265509481314473", "1.1644357678890496"]
+            "1.6451131768306846", "1.4265509481314473", "1.1644357678890496"]
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         src = str(Path(sim.__file__).resolve().parents[1])
