@@ -16,23 +16,25 @@ of the master seed, the cell parameters and the replication index: one for
 the placement of the condition means, one for the subject/noise draws.
 Results are therefore bit-identical whether cells run sequentially or on any
 number of worker processes.  Each substream is the numpy PCG64 ``Generator``
-of ``np.random.default_rng(seed)``; :func:`run_cell` builds them without
-``default_rng`` by doing numpy's ``SeedSequence`` hashing for all substreams
-of a block at once in uint32 array arithmetic.  The profile uniforms come
-from a vectorised PCG64 over the block (:func:`_pcg64_uniforms`), with no
-``Generator`` at all.  Both are checked once per process against
-``default_rng``.  Normal deviates come from the ziggurat method, subject
-effects before the noise matrix, and are scaled afterwards, which gives the
-same values as ``Generator.normal`` with that scale.  The posterior
-five-number summaries follow numpy's linear percentile rule.
+of ``np.random.default_rng(seed)``.  One block sampler, :func:`_draw`, draws
+every dataset without ``default_rng``: it does numpy's ``SeedSequence``
+hashing for all substreams of a block at once in uint32 array arithmetic,
+and draws the profile uniforms from a vectorised PCG64 over the block
+(:func:`_pcg64_uniforms`), with no ``Generator`` at all.  Both are checked
+once per process against ``default_rng``.  Normal deviates come from the
+ziggurat method, subject effects before the noise matrix, and are scaled
+afterwards, which gives the same values as ``Generator.normal`` with that
+scale.  The posterior five-number summaries follow numpy's linear
+percentile rule.
 
-:func:`run_cell` works in batched passes over blocks of replications.  The
-substreams, the datasets and the model choices (hence accuracies and
-consistencies) are those of the one-replication-at-a-time chain
-:func:`generate_dataset` -> :func:`~rmbayes.anova.rm_anova` -> the scalar
-Bayes factor routes.  F, the Bayes factors and the posteriors may differ
-from that chain by a few ulp, because batched reductions and ufuncs may
-round differently; the block size never changes a result.
+:func:`run_cell` works in batched passes over blocks of replications, and
+:func:`generate_dataset` is the sampler on a block of one: the dataset
+:func:`run_cell` analyses for that replication.  The model choices (hence
+accuracies and consistencies) are those of the one-replication-at-a-time
+chain :func:`generate_dataset` -> :func:`~rmbayes.anova.rm_anova` -> the
+scalar Bayes factor routes.  F, the Bayes factors and the posteriors may
+differ from that chain by a few ulp, because batched reductions and ufuncs
+may round differently; the block size never changes a result.
 
 Condition-mean spacing
 ----------------------
@@ -230,15 +232,6 @@ def _float_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def _rep_seed(config: SimulationConfig, rep_index: int) -> int:
-    """Substream seed for one replication: a splitmix64 fold of the master
-    seed, the cell parameters and the replication index."""
-    index = as_int(rep_index)
-    if index is None or index < 0:
-        raise DomainError(f"rep_index must be a nonnegative integer, got {rep_index!r}")
-    return _splitmix64(_cell_seed(config) ^ (index & _MASK64))
-
-
 def _cell_seed(config: SimulationConfig) -> int:
     """The master seed folded with the cell parameters; the replication
     index is the last token of the fold."""
@@ -256,7 +249,9 @@ def _cell_seed(config: SimulationConfig) -> int:
 
 
 def _rep_seeds(config: SimulationConfig, first: int, stop: int) -> np.ndarray:
-    """``_rep_seed`` of replications first..stop-1, as a uint64 array."""
+    """Substream seeds of replications first..stop-1, as a uint64 array: a
+    splitmix64 fold of the master seed, the cell parameters and the
+    replication index."""
     return _splitmix64(np.arange(first, stop, dtype=np.uint64) ^ _cell_seed(config))
 
 
@@ -381,24 +376,14 @@ def make_profile(config: SimulationConfig) -> tuple[float, ...]:
     return tuple(delta * (j / (k - 1) - 0.5) for j in range(k))
 
 
-def _rep_profile(config: SimulationConfig, rep_index: int) -> tuple[float, ...]:
-    """Profile used for one replication under the configured spacing."""
-    if not _redraws_profile(config):
-        return make_profile(config)
-    rng = np.random.default_rng(_splitmix64(_rep_seed(config, rep_index) ^ _PROFILE_STREAM_TAG))
-    interior = np.sort(rng.uniform(size=config.k - 2))
-    relative = np.concatenate(([0.0], interior, [1.0]))
-    means = config.delta * relative
-    return tuple((means - means.mean()).tolist())
-
-
 def _redraws_profile(config: SimulationConfig) -> bool:
     return config.spacing == "uniform" and config.k > 2 and config.delta != 0.0
 
 
 def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     """Treatment effects of the replications with these profile substream
-    states: one row each, equal to ``_rep_profile``, or one shared (k,)
+    states: one row each, the profile of that replication's dataset in
+    :func:`generate_dataset` and :func:`run_cell`, or one shared (k,)
     profile (whatever the states) when the spacing does not redraw it."""
     if not _redraws_profile(config):
         return np.asarray(make_profile(config))
@@ -412,19 +397,48 @@ def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     return means - means.mean(axis=1, keepdims=True)
 
 
-def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
-    """Draw replication ``rep_index``'s n-by-k dataset y[i, j] = alpha[j] +
-    pi[i] + eps[i, j], with alpha that replication's profile.
+def _draw(config: SimulationConfig, first: int, stop: int, normals: np.ndarray,
+          data: np.ndarray) -> None:
+    """Draw the datasets of replications first..stop-1 into the leading rows
+    of ``data`` (block, n, k), with those of ``normals`` (block, n*(k+1)) as
+    scratch: each data substream fills its row with the n subject effects,
+    then the n*k noise values, and a dataset is (alphas + subject) + noise.
+    One that overflows the float range raises DomainError naming the cell
+    and the replication."""
+    n, k, size = config.n, config.k, stop - first
+    seeds = _rep_seeds(config, first, stop)
+    if _redraws_profile(config):
+        seeds = np.concatenate((seeds, _splitmix64(seeds ^ _PROFILE_STREAM_TAG)))
+    # one hash for the block: the data substreams' rows, then the profiles'
+    states = _seed_sequence_states(seeds)
+    substream = _substream_factory()
+    for row, words in zip(normals, states[:size]):
+        substream(words).standard_normal(out=row)
+    subject, noise = normals[:size, :n], normals[:size, n:].reshape(size, n, k)
+    subject *= math.sqrt(config.rho)
+    noise *= math.sqrt(1.0 - config.rho)
+    out = data[:size]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        base = _profiles(config, states[size:])
+        np.add(base[..., np.newaxis, :], subject[:, :, np.newaxis], out=out)
+        out += noise
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"cell {config.cell_id}, replication {first + int(np.argmin(finite))}"
+                          ": the data overflow the float range")
 
-    Deterministic given (master_seed, cell parameters, rep_index): the
-    replication's substream first yields the n subject effects, then the
-    n*k noise matrix.
-    """
-    alphas = np.asarray(_rep_profile(config, rep_index))
-    rng = np.random.default_rng(_rep_seed(config, rep_index))
-    subject = rng.normal(0.0, math.sqrt(config.rho), config.n)
-    noise = rng.normal(0.0, math.sqrt(1.0 - config.rho), (config.n, config.k))
-    return alphas + subject[:, None] + noise
+
+def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
+    """Replication ``rep_index``'s n-by-k dataset y[i, j] = alpha[j] + pi[i] +
+    eps[i, j], with alpha its profile: the dataset :func:`run_cell` analyses,
+    drawn by the same sampler on a block of one.  ``rep_index`` is an integer
+    from 0 to 2**64 - 1; anything else, or an overflow, raises DomainError."""
+    index = as_int(rep_index)
+    if index is None or not 0 <= index <= _MASK64:
+        raise DomainError(f"rep_index must be an integer from 0 to 2**64 - 1, got {rep_index!r}")
+    data = np.empty((1, config.n, config.k))
+    _draw(config, index, index + 1, np.empty((1, config.n * (config.k + 1))), data)
+    return data[0]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -445,44 +459,27 @@ def run_cell(config: SimulationConfig) -> CellResult:
     Each replication generates a dataset, decomposes its sums of squares,
     and evaluates both Bayes factor routes (minimal from F, Nathoo-Masson
     from the sums of squares).  Replications run in blocks of at most
-    ``_BLOCK_VALUES`` data values, each block as one batched pass.  A
-    degenerate decomposition aborts the cell with the cell id and
-    replication index attached (probability zero for continuous data), and
-    so does a cell whose arrays cannot be allocated, for its n, k or ``reps``.
+    ``_BLOCK_VALUES`` data values, each block drawn by :func:`_draw` and
+    analysed as one batched pass.  An overflow or a degenerate
+    decomposition (probability zero for continuous data) aborts the cell
+    with the cell id and replication index attached, and so does a cell
+    whose arrays cannot be allocated, for its n, k or ``reps``.
     """
     n, k, reps = config.n, config.k, config.reps
     block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
     try:
-        # one draw per replication fills its row: the n subject effects, then the n*k
-        # noise values, the order in which generate_dataset draws them
         normals = np.empty((block, n * (k + 1)))
         data = np.empty((block, n, k))
         f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
     except (MemoryError, ValueError):
         raise DomainError(f"cell {config.cell_id}: reps={reps} replications do not fit "
                           "in memory") from None
-    subject, noise = normals[:, :n], normals[:, n:].reshape(block, n, k)
-    substream = _substream_factory()
 
     for first in range(0, reps, block):
         stop = min(first + block, reps)
-        size = stop - first
-        seeds = _rep_seeds(config, first, stop)
-        if _redraws_profile(config):
-            seeds = np.concatenate((seeds, _splitmix64(seeds ^ _PROFILE_STREAM_TAG)))
-        # one hash for the block: the data substreams' rows, then the profiles'
-        states = _seed_sequence_states(seeds)
-        for row, words in zip(normals, states[:size]):
-            substream(words).standard_normal(out=row)
-        sub, noi, dat = subject[:size], noise[:size], data[:size]
-        sub *= math.sqrt(config.rho)
-        noi *= math.sqrt(1.0 - config.rho)
+        _draw(config, first, stop, normals, data)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-            base = _profiles(config, states[size:])
-            # (alphas + subject) + noise, generate_dataset's order: the same bits
-            np.add(base[..., np.newaxis, :], sub[:, :, np.newaxis], out=dat)
-            dat += noi
-            ssa, ssb, ssr, sst, f = _decompose(dat)
+            ssa, ssb, ssr, sst, f = _decompose(data[:stop - first])
         valid = np.isfinite(f) & (ssr > 0.0) & (ssb > 0.0)
         if not valid.all():
             bad = int(np.argmin(valid))

@@ -1,5 +1,6 @@
 """Shared test helpers: independent ANOVA oracle, the reference F-report
-scanner, matrix constructors, and JSON schema loading."""
+scanner, the reference simulation sampler, matrix constructors, and JSON
+schema loading."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import pytest
 
 import rmbayes
 from rmbayes.apa import ReportedStat
-from rmbayes.errors import DomainError
+from rmbayes.errors import DomainError, as_int
+from rmbayes.simulate import _MASK64, _PROFILE_STREAM_TAG, _cell_seed, _splitmix64, make_profile
 
 SRC = str(Path(rmbayes.__file__).resolve().parents[1])
 
@@ -119,6 +121,41 @@ def reference_parse_reports(text: str) -> list[ReportedStat]:
             span=match.span(),
         ))
     return reports
+
+
+# The simulation's sampler as first written, one replication at a time through
+# np.random.default_rng, frozen as the reference that generate_dataset, drawn by
+# run_cell's block sampler, must equal bit for bit. It takes only the seed fold
+# (_cell_seed, _splitmix64) and make_profile from the package.
+def reference_rep_seed(config, rep_index: int) -> int:
+    """Substream seed for one replication: a splitmix64 fold of the master
+    seed, the cell parameters and the replication index."""
+    index = as_int(rep_index)
+    if index is None or index < 0:
+        raise DomainError(f"rep_index must be a nonnegative integer, got {rep_index!r}")
+    return _splitmix64(_cell_seed(config) ^ (index & _MASK64))
+
+
+def reference_rep_profile(config, rep_index: int) -> tuple[float, ...]:
+    """Profile used for one replication under the configured spacing."""
+    if not (config.spacing == "uniform" and config.k > 2 and config.delta != 0.0):
+        return make_profile(config)
+    rng = np.random.default_rng(
+        _splitmix64(reference_rep_seed(config, rep_index) ^ _PROFILE_STREAM_TAG))
+    interior = np.sort(rng.uniform(size=config.k - 2))
+    relative = np.concatenate(([0.0], interior, [1.0]))
+    means = config.delta * relative
+    return tuple((means - means.mean()).tolist())
+
+
+def reference_dataset(config, rep_index: int) -> np.ndarray:
+    """Replication ``rep_index``'s n-by-k dataset: the replication's substream
+    first yields the n subject effects, then the n*k noise matrix."""
+    alphas = np.asarray(reference_rep_profile(config, rep_index))
+    rng = np.random.default_rng(reference_rep_seed(config, rep_index))
+    subject = rng.normal(0.0, math.sqrt(config.rho), config.n)
+    noise = rng.normal(0.0, math.sqrt(1.0 - config.rho), (config.n, config.k))
+    return alphas + subject[:, None] + noise
 
 
 def build_two_condition_matrix(ss_treatment: float, ss_subjects: float,

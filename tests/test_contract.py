@@ -34,6 +34,7 @@ from rmbayes import (
     bf01_minimal_rm,
     delta_bic_nathoo,
     f_cdf,
+    generate_dataset,
 )
 from rmbayes.cli import main
 from rmbayes.errors import DomainError
@@ -170,6 +171,9 @@ class TestNamedInputs:
                      id="config-huge-fraction"),
         pytest.param(lambda: bf01_between(np.longdouble("-1e400"), 1, 1, 10),
                      "f_stat = -1e+400 lies beyond the float range", id="longdouble-negative"),
+        pytest.param(lambda: generate_dataset(SimulationConfig(n=10, rho=0.2, delta=1.7e308), 0),
+                     "cell n10_k3_rho0.2_delta1.7e+308, replication 0: ",
+                     id="dataset-overflows"),
     ])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):

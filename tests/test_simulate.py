@@ -31,25 +31,38 @@ from rmbayes import (
 )
 from rmbayes.errors import DomainError
 from rmbayes.simulate import (
+    _cell_seed,
     _pcg64_uniforms,
-    _rep_profile,
-    _rep_seed,
+    _profiles,
     _rep_seeds,
     _seed_sequence_states,
     _splitmix64,
 )
+
+from conftest import reference_dataset
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
     return SimulationConfig(n=n, rho=rho, delta=delta, **kwargs)
 
 
+def profiles(config, first, stop):
+    """The package's effect profiles of replications first..stop-1, one tuple
+    each, from their profile substreams."""
+    seeds = _splitmix64(_rep_seeds(config, first, stop) ^ sim._PROFILE_STREAM_TAG)
+    rows = _profiles(config, _seed_sequence_states(seeds))
+    return [tuple(row) for row in np.broadcast_to(rows, (stop - first, config.k)).tolist()]
+
+
 def scalar_chain(config, reps):
     """The one-replication-at-a-time reference for the listed replications:
-    profile, dataset, ANOVA, then both scalar Bayes factor routes."""
+    profile, dataset, ANOVA, then both scalar Bayes factor routes.  Each
+    dataset is checked bit for bit against the reference default_rng sampler."""
     design = DesignSpec(n=config.n, k=config.k)
     for rep in reps:
-        table = rm_anova(generate_dataset(config, rep))
+        data = generate_dataset(config, rep)
+        assert data.tobytes() == reference_dataset(config, rep).tobytes()
+        table = rm_anova(data)
         yield table.f_stat, bf01_minimal_rm(table.f_stat, design), delta_bic_nathoo(
             SummaryStats(ss_treatment=table.ss_treatment, ss_subjects=table.ss_subjects,
                          ss_total=table.ss_total, design=design))
@@ -62,22 +75,24 @@ class TestSplitmix:
 
     def test_rep_seeds_distinct_across_cells_and_reps(self):
         seeds = {
-            _rep_seed(config_for(n=n, rho=rho, delta=delta, master_seed=9), rep)
+            seed
             for n in (20, 50)
             for rho in (0.2, 0.8)
             for delta in (0.0, 0.2)
-            for rep in range(50)
+            for seed in _rep_seeds(config_for(n=n, rho=rho, delta=delta, master_seed=9),
+                                   0, 50).tolist()
         }
         assert len(seeds) == 2 * 2 * 2 * 50
 
     def test_rep_seed_requires_nonnegative_index(self):
-        with pytest.raises(DomainError):
-            _rep_seed(config_for(), -1)
+        with pytest.raises(DomainError, match="rep_index must be an integer from 0"):
+            generate_dataset(config_for(), -1)
 
     def test_vectorised_seeds_match_scalar(self):
+        # the uint64 array fold against splitmix64 on Python ints
         config = config_for(n=50, rho=0.8, delta=0.2, master_seed=2 ** 64 - 1)
-        assert _rep_seeds(config, 0, 1000).tolist() == [_rep_seed(config, rep)
-                                                         for rep in range(1000)]
+        assert _rep_seeds(config, 0, 1000).tolist() == [
+            _splitmix64(_cell_seed(config) ^ rep) for rep in range(1000)]
 
 
 class TestSubstreams:
@@ -231,27 +246,26 @@ class TestMakeProfile:
 class TestPerRepProfile:
     def test_equal_spacing_is_fixed(self):
         config = config_for(delta=0.5, spacing="equal")
-        profiles = {_rep_profile(config, rep) for rep in range(5)}
-        assert profiles == {make_profile(config)}
+        assert set(profiles(config, 0, 5)) == {make_profile(config)}
 
     def test_uniform_spacing_redraws_interior_means(self):
         config = config_for(k=3, delta=0.5, spacing="uniform")
-        profiles = [_rep_profile(config, rep) for rep in range(20)]
-        assert len(set(profiles)) > 1
-        for alphas in profiles:
+        drawn = profiles(config, 0, 20)
+        assert len(set(drawn)) > 1
+        for alphas in drawn:
             assert math.fsum(alphas) == pytest.approx(0.0, abs=1e-12)
             assert max(alphas) - min(alphas) == pytest.approx(0.5, rel=1e-12)
             assert list(alphas) == sorted(alphas)
 
     def test_uniform_spacing_deterministic_per_rep(self):
         config = config_for(k=5, delta=0.3, spacing="uniform", master_seed=77)
-        assert _rep_profile(config, 11) == _rep_profile(config, 11)
-        assert _rep_profile(config, 11) != _rep_profile(config, 12)
+        assert profiles(config, 11, 12) == profiles(config, 11, 12)
+        assert profiles(config, 11, 12) != profiles(config, 12, 13)
 
     def test_degenerate_uniform_cases_fall_back_to_equal(self):
-        assert _rep_profile(config_for(k=2, delta=0.4), 3) == \
-            make_profile(config_for(k=2, delta=0.4))
-        assert _rep_profile(config_for(k=3, delta=0.0), 3) == (0.0, 0.0, 0.0)
+        assert profiles(config_for(k=2, delta=0.4), 3, 4) == \
+            [make_profile(config_for(k=2, delta=0.4))]
+        assert profiles(config_for(k=3, delta=0.0), 3, 4) == [(0.0, 0.0, 0.0)]
 
 
 class TestGenerateDataset:
@@ -287,10 +301,46 @@ class TestGenerateDataset:
         # shifts the middle column mean away from the equally spaced 0
         config = config_for(n=50_000, rho=0.2, delta=1.0, k=3, master_seed=8)
         for rep in (0, 1):
-            expected = _rep_profile(config, rep)
+            expected, = profiles(config, rep, rep + 1)
             assert abs(expected[1]) > 0.1
             data = generate_dataset(config, rep)
             assert data.mean(axis=0) == pytest.approx(expected, abs=0.02)
+
+
+    # n <= 30, k 2..9, both spacings, delta and rho 0 among them, indices at both ends
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 30), k=st.integers(2, 9),
+           rho=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           delta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           spacing=st.sampled_from(["uniform", "equal"]),
+           master_seed=st.integers(0, 2 ** 64 - 1),
+           rep=st.one_of(st.sampled_from([0, 2 ** 63, 2 ** 64 - 1]),
+                         st.integers(0, 2 ** 64 - 1)))
+    def test_equals_the_reference_sampler(self, n, k, rho, delta, spacing, master_seed, rep):
+        config = SimulationConfig(n=n, rho=rho, delta=delta, k=k, master_seed=master_seed,
+                                  spacing=spacing)
+        assert generate_dataset(config, rep).tobytes() == \
+            reference_dataset(config, rep).tobytes()
+
+    def test_block_rows_are_the_single_datasets(self):
+        config = config_for(n=7, k=4, rho=0.3, delta=0.6)
+        normals, data = np.empty((6, 7 * 5)), np.empty((6, 7, 4))
+        sim._draw(config, 3, 8, normals, data)
+        for row, rep in zip(data, range(3, 8)):
+            assert row.tobytes() == generate_dataset(config, rep).tobytes()
+
+    @pytest.mark.parametrize("rep", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(7)])
+    def test_rep_index_spans_the_unsigned_64_bit_range(self, rep):
+        config = config_for(n=6, delta=0.5)
+        assert generate_dataset(config, rep).tobytes() == \
+            reference_dataset(config, int(rep)).tobytes()
+
+    # 2**64 and 2**64 + 7 once wrapped round to replications 0 and 7
+    @pytest.mark.parametrize("rep", [2 ** 64, 2 ** 64 + 7, np.int64(-1), True, 7.0, "7", None])
+    def test_rep_index_outside_the_range_rejected(self, rep):
+        with pytest.raises(DomainError, match=re.escape(
+                f"rep_index must be an integer from 0 to 2**64 - 1, got {rep!r}")):
+            generate_dataset(config_for(), rep)
 
 
 class TestRunCell:
