@@ -86,6 +86,8 @@ _PROFILE_STREAM_TAG = 0x70726F66696C6531
 # Data values per batched pass of run_cell (at least one dataset): bounds its
 # working arrays at a few hundred kB whatever the number of replications.
 _BLOCK_VALUES = 1 << 16
+# what an array too large to allocate is blamed on, where reps plays no part
+_DESIGN_UNFIT = "its n-by-k design does not fit"
 
 _SPACINGS = ("uniform", "equal")
 
@@ -365,15 +367,24 @@ def _substream_factory():
     return substream
 
 
+def _allocated(config: SimulationConfig, cause: str, make, *args) -> np.ndarray:
+    """``make(*args)``; an array too large to allocate is a DomainError naming the cell."""
+    try:
+        return make(*args)
+    except (MemoryError, ValueError):
+        raise DomainError(f"cell {config.cell_id}: {cause} in memory") from None
+
+
 def make_profile(config: SimulationConfig) -> tuple[float, ...]:
     """Equally spaced, sum-to-zero treatment effects with range ``delta``,
     the effect size on the unit marginal-SD scale.
 
     For delta = 0 every effect is zero; for k = 2 the profile
     (-delta/2, +delta/2) is forced by the range and zero-sum constraints.
+    A k too large to allocate raises DomainError naming the cell.
     """
-    k, delta = config.k, config.delta
-    return tuple(delta * (j / (k - 1) - 0.5) for j in range(k))
+    steps = _allocated(config, _DESIGN_UNFIT, np.arange, config.k) / (config.k - 1)
+    return tuple((config.delta * (steps - 0.5)).tolist())
 
 
 def _redraws_profile(config: SimulationConfig) -> bool:
@@ -397,47 +408,53 @@ def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     return means - means.mean(axis=1, keepdims=True)
 
 
-def _draw(config: SimulationConfig, first: int, stop: int, normals: np.ndarray,
-          data: np.ndarray) -> None:
-    """Draw the datasets of replications first..stop-1 into the leading rows
-    of ``data`` (block, n, k), with those of ``normals`` (block, n*(k+1)) as
-    scratch: each data substream fills its row with the n subject effects,
-    then the n*k noise values, and a dataset is (alphas + subject) + noise.
-    One that overflows the float range raises DomainError naming the cell
-    and the replication."""
-    n, k, size = config.n, config.k, stop - first
-    seeds = _rep_seeds(config, first, stop)
-    if _redraws_profile(config):
-        seeds = np.concatenate((seeds, _splitmix64(seeds ^ _PROFILE_STREAM_TAG)))
-    # one hash for the block: the data substreams' rows, then the profiles'
-    states = _seed_sequence_states(seeds)
+def _draw(config: SimulationConfig, first: int, stop: int, cause: str = _DESIGN_UNFIT):
+    """Yield the first replication of each block of replications first..stop-1
+    (at most ``_BLOCK_VALUES`` data values, at least one dataset) and a
+    (size, n, k) view of its datasets, which the next block overwrites.  Each
+    data substream fills its row of the (block, n*(k+1)) scratch with the n
+    subject effects, then the n*k noise values; a dataset is (alphas + subject)
+    + noise.  An overflow raises DomainError naming the cell and replication,
+    scratch too large to allocate one naming the cell and the ``cause``."""
+    n, k = config.n, config.k
+    block = min(stop - first, max(1, _BLOCK_VALUES // (n * k)))
+    normals = _allocated(config, cause, np.empty, (block, n * (k + 1)))
+    data = _allocated(config, cause, np.empty, (block, n, k))
     substream = _substream_factory()
-    for row, words in zip(normals, states[:size]):
-        substream(words).standard_normal(out=row)
-    subject, noise = normals[:size, :n], normals[:size, n:].reshape(size, n, k)
-    subject *= math.sqrt(config.rho)
-    noise *= math.sqrt(1.0 - config.rho)
-    out = data[:size]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        base = _profiles(config, states[size:])
-        np.add(base[..., np.newaxis, :], subject[:, :, np.newaxis], out=out)
-        out += noise
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
-        raise DomainError(f"cell {config.cell_id}, replication {first + int(np.argmin(finite))}"
-                          ": the data overflow the float range")
+    for rep in range(first, stop, block):
+        size = min(block, stop - rep)
+        seeds = _rep_seeds(config, rep, rep + size)
+        if _redraws_profile(config):
+            seeds = np.concatenate((seeds, _splitmix64(seeds ^ _PROFILE_STREAM_TAG)))
+        # one hash for the block: the data substreams' rows, then the profiles'
+        states = _seed_sequence_states(seeds)
+        for row, words in zip(normals, states[:size]):
+            substream(words).standard_normal(out=row)
+        subject, noise = normals[:size, :n], normals[:size, n:].reshape(size, n, k)
+        subject *= math.sqrt(config.rho)
+        noise *= math.sqrt(1.0 - config.rho)
+        out = data[:size]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            base = _profiles(config, states[size:])
+            np.add(base[..., np.newaxis, :], subject[:, :, np.newaxis], out=out)
+            out += noise
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"cell {config.cell_id}, replication {rep + int(np.argmin(finite))}"
+                              ": the data overflow the float range")
+        yield rep, out
 
 
 def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
     """Replication ``rep_index``'s n-by-k dataset y[i, j] = alpha[j] + pi[i] +
     eps[i, j], with alpha its profile: the dataset :func:`run_cell` analyses,
     drawn by the same sampler on a block of one.  ``rep_index`` is an integer
-    from 0 to 2**64 - 1; anything else, or an overflow, raises DomainError."""
+    from 0 to 2**64 - 1; anything else, an overflow or an unallocatable design
+    raises DomainError."""
     index = as_int(rep_index)
     if index is None or not 0 <= index <= _MASK64:
         raise DomainError(f"rep_index must be an integer from 0 to 2**64 - 1, got {rep_index!r}")
-    data = np.empty((1, config.n, config.k))
-    _draw(config, index, index + 1, np.empty((1, config.n * (config.k + 1))), data)
+    (_, data), = _draw(config, index, index + 1)
     return data[0]
 
 
@@ -466,20 +483,13 @@ def run_cell(config: SimulationConfig) -> CellResult:
     whose arrays cannot be allocated, for its n, k or ``reps``.
     """
     n, k, reps = config.n, config.k, config.reps
-    block = min(reps, max(1, _BLOCK_VALUES // (n * k)))
-    try:
-        normals = np.empty((block, n * (k + 1)))
-        data = np.empty((block, n, k))
-        f_stat, log_bf01_min, log_bf01_nm = (np.empty(reps) for _ in range(3))
-    except (MemoryError, ValueError):
-        raise DomainError(f"cell {config.cell_id}: reps={reps} replications do not fit "
-                          "in memory") from None
-
-    for first in range(0, reps, block):
-        stop = min(first + block, reps)
-        _draw(config, first, stop, normals, data)
+    cause = f"reps={reps} replications do not fit"
+    f_stat, log_bf01_min, log_bf01_nm = (_allocated(config, cause, np.empty, reps)
+                                         for _ in range(3))
+    for first, data in _draw(config, 0, reps, cause):
+        stop = first + len(data)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-            ssa, ssb, ssr, sst, f = _decompose(data[:stop - first])
+            ssa, ssb, ssr, sst, f = _decompose(data)
         valid = np.isfinite(f) & (ssr > 0.0) & (ssb > 0.0)
         if not valid.all():
             bad = int(np.argmin(valid))

@@ -20,18 +20,19 @@ import pytest
 import rmbayes
 from rmbayes.apa import ReportedStat
 from rmbayes.errors import DomainError, as_int
-from rmbayes.simulate import _MASK64, _PROFILE_STREAM_TAG, _cell_seed, _splitmix64, make_profile
+from rmbayes.simulate import _MASK64, _PROFILE_STREAM_TAG, _cell_seed, _splitmix64
 
 SRC = str(Path(rmbayes.__file__).resolve().parents[1])
 
 
-def fresh_python(code: str, args=(), stdin: str = "") -> str:
+def fresh_python(code: str, args=(), stdin: str = "", timeout: float | None = None) -> str:
     """The last stdout line of ``code`` run in a new interpreter that imports
-    this package's source, so nothing is loaded beforehand."""
+    this package's source, so nothing is loaded beforehand; past ``timeout``
+    seconds the interpreter is killed and TimeoutExpired raised."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, check=True, timeout=timeout).stdout
     return out.splitlines()[-1]
 
 
@@ -126,7 +127,13 @@ def reference_parse_reports(text: str) -> list[ReportedStat]:
 # The simulation's sampler as first written, one replication at a time through
 # np.random.default_rng, frozen as the reference that generate_dataset, drawn by
 # run_cell's block sampler, must equal bit for bit. It takes only the seed fold
-# (_cell_seed, _splitmix64) and make_profile from the package.
+# (_cell_seed, _splitmix64) from the package.
+def reference_make_profile(config) -> tuple[float, ...]:
+    """``make_profile`` as first written: one Python float per condition."""
+    k, delta = config.k, config.delta
+    return tuple(delta * (j / (k - 1) - 0.5) for j in range(k))
+
+
 def reference_rep_seed(config, rep_index: int) -> int:
     """Substream seed for one replication: a splitmix64 fold of the master
     seed, the cell parameters and the replication index."""
@@ -139,7 +146,7 @@ def reference_rep_seed(config, rep_index: int) -> int:
 def reference_rep_profile(config, rep_index: int) -> tuple[float, ...]:
     """Profile used for one replication under the configured spacing."""
     if not (config.spacing == "uniform" and config.k > 2 and config.delta != 0.0):
-        return make_profile(config)
+        return reference_make_profile(config)
     rng = np.random.default_rng(
         _splitmix64(reference_rep_seed(config, rep_index) ^ _PROFILE_STREAM_TAG))
     interior = np.sort(rng.uniform(size=config.k - 2))

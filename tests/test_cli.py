@@ -685,7 +685,34 @@ class TestSeededOutputBytes:
     """Every file of a few seeded ``simulate --reps 50`` runs, pinned by its
     SHA-256: uniform spacing at k = 3 and k = 5 with delta > 0 (one and three
     profile draws per replication), k = 2, equal spacing, delta = 0, and rho = 0,
-    where the -0.0 effects of a null profile meet zero subject effects."""
+    where the -0.0 effects of a null profile meet zero subject effects.
+
+    numpy picks its ``log1p``, ``log`` and ``exp`` loops, which the posteriors
+    follow, by the CPU. So each run is a fresh interpreter, and on x86-64 its
+    dispatch is pinned to the loops every x86-64-v2 CPU runs, by the feature
+    group names of numpy 2.4 and by the feature names of older numpy; a name
+    numpy does not know is ignored with an ImportWarning. The run checks that
+    no loop above x86-64-v2 is left on and is skipped where one is."""
+
+    PIN = ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR AVX F16C FMA3 AVX2 AVX512F AVX512CD "
+           "AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL")
+    # exit status 77: numpy still dispatches to a loop above x86-64-v2
+    CHILD = (
+        "import os, sys\n"
+        "try:\n"
+        "    from numpy._core import _multiarray_umath as umath\n"
+        "except ImportError:  # numpy 1.x\n"
+        "    from numpy.core import _multiarray_umath as umath\n"
+        "v2 = {'SSE', 'SSE2', 'SSE3', 'SSSE3', 'SSE41', 'POPCNT', 'SSE42', 'X86_V2'}\n"
+        "dispatched = getattr(umath, '__cpu_dispatch__', umath.__cpu_features__)\n"
+        "on = [name for name in dispatched if 'NPY_DISABLE_CPU_FEATURES' in os.environ\n"
+        "      and umath.__cpu_features__.get(name) and name not in v2]\n"
+        "if on:\n"
+        "    sys.stderr.write(' '.join(on))\n"
+        "    sys.exit(77)\n"
+        "from rmbayes.cli import main\n"
+        "main(prog_name='rmbayes')\n"
+    )
 
     RUNS = {
         "k3-uniform": ["--k", "3", "--n", "10,20", "--rho", "0.2,0.8", "--delta", "0,0.5",
@@ -699,58 +726,69 @@ class TestSeededOutputBytes:
     }
     DIGESTS = {
     "k3-uniform": {
-        "boxplot_data.csv": "afab4f9ad8895e90100cc884197530e3630083d0a9ffebbf19246001c1b9c64a",
-        "grid_report.json": "0a1de0520b7a33b80dad04a606248af643a48faec1f88bd47da6264923be85a2",
-        "per_rep.csv": "98f5abc5881dae7bde134fde5c02cfbe6413c2d784b0d5e314b4f747b1696f79",
-        "scatter_data.csv": "4e90828c186d5d7af4ac151a928e4471a06bbdd10e5b14661541a67ac010cf9d",
+        "boxplot_data.csv": "f6021272a30d80f4fd329c6846cc433655e2fd5a840287c7c425cd9a8825846c",
+        "grid_report.json": "453024dc7bb332cdd8cb35fdaefee7e97518612b853123827ed746fb4d296ea6",
+        "per_rep.csv": "2aa5398618148acdf601353248fd5251edb5db08943d23a3d29f718c77e34f1a",
+        "scatter_data.csv": "59b5b6cb3aee53f0886b15e06ca547963b84399e0aa0257d6000d72b42b719d6",
         "table2.csv": "719d7a98e781c09b5bf654f7d8384697914dbc1c9008f287d7d47a423667190d",
         "table3.csv": "2f8dc71fd4a4ded091d2f6809bbc6ec9ef85a4dc5ef235728cf464ac014928bb",
-        "table4.csv": "626f37fce9097b43eb69459b9d7878a3167e485b2e56dd3f7c0a50d0aedd084e",
+        "table4.csv": "d0ce25f2060123e4859b682607ca725a9e32c115d70cf5d0b798f445904f3075",
     },
     "k5-uniform": {
         "boxplot_data.csv": "38a49417f8fb81f285a7f6be6c2a248ae463f8d090aac7c36e29e9b0149d1ec0",
-        "grid_report.json": "bd1b553b22f9e2e24bfddbf60542bddc9063d8801bdf62b0f12cf5f08cf8668e",
-        "per_rep.csv": "5a65ff9b3ca5d609f34fbd1b5ef2a71d65e4455f48c683a0e5b6241a4dab4887",
-        "scatter_data.csv": "1d502bc647d0c81e9907f39c9cd2e6d636b093afe571525413d9b3eee6485867",
+        "grid_report.json": "59c42dfd3bb450fcc73953c21d314e074c7671d130dc654b636a27407c43cbc0",
+        "per_rep.csv": "38730f423ae40b9c12903c4555431a8591193ddda82812a32de4c77095ad4906",
+        "scatter_data.csv": "cb051295eaca2c9a8c96105c1829e0ac072edcde8196c86491a153a2d2970294",
         "table2.csv": "45e02f6564c7e7fddf5326abbc2d23d557d75ef4662c652fcb883c73edf00c77",
         "table3.csv": "028bbf858109bb2cd822588692969b2918e6e95517820d3d2f96ec2a650e685a",
-        "table4.csv": "46bc93250e3086b829f50a8fa8d38008b428eb4a7c727714f3499171adae04f5",
+        "table4.csv": "f58d95baafce3b9eedbb23c75cbd429c0104fa65ff0630491d41982e4cca0d83",
     },
     "k2": {
         "boxplot_data.csv": "3e2f5819bdfac5e64a60542fe348776648c79cc40ba9aace2ad7879d38ee47c1",
         "grid_report.json": "6f366191208902a61375d978ae6bbc60ff9236a1c5b1c1393b171999266eefe3",
-        "per_rep.csv": "2e98e246511f36fec8f0f14e12fd411028eab94e0c83a61130a0afcfa9b24e7f",
-        "scatter_data.csv": "78c99f181889d38170eb48462d07cc1a6c0a6e8dfe2601356a4cef31a74b4313",
+        "per_rep.csv": "1f500fa09492b3cf21f422a895a66c2d9751d8e307a920db34fab7629b19ce79",
+        "scatter_data.csv": "fbf27bf65e66a74e792dc06f474499c29b42f327de172593fbe9bf27df5ef21b",
         "table2.csv": "91bcf8b917489ffd09d450dc89c98514f2cbbf65ddf3d167bdd8f8ad3a0a8bd5",
         "table3.csv": "c26fe4f049a1521379f7b8e2e714c782833c79719b4cce38fd4dc2ddb46580c5",
         "table4.csv": "e65066c4ec78cc0dd1136133cbf6169812bc6644b51de4f60716915a62630456",
     },
     "k4-equal": {
-        "boxplot_data.csv": "7dc73c09143960cdb52a7c817d05adf4294fdc5e8604f0f51f8172a5ad48b02a",
-        "grid_report.json": "b2f353524da1389d6569b00791ea429a7716616d61232b1c6232b8ff04eb9ecd",
-        "per_rep.csv": "f8330a4427978cecc622b8df9478b4a788eee8eec7fd7c437d47e9ec6c3d72fd",
-        "scatter_data.csv": "08d4ac1b5d1c45d488d82da1cff8f24afc2e60244096131e51deed00aacad782",
+        "boxplot_data.csv": "fb1874389befb2f8663cc362ec84780bb02574d901dd45429bb3031c82029f12",
+        "grid_report.json": "5748ba15809a75ae121944bbb76cc9e48de9e60d0a21b657c2e5bb96a73ac524",
+        "per_rep.csv": "d8a9a76de3ebf234bd7b29fcdf8b50285e5e1cf62aa3b57ab908bb6ad2a6ffcb",
+        "scatter_data.csv": "582a0afbcb0b487ef902d461c4e4ecf9eaa27f9bba0ebd278c35129e55d723f5",
         "table2.csv": "6b91900de7fd1122d2a9984fd3128061a28ab7f8f13a605d4cd78509ad7dbd49",
         "table3.csv": "fcb384882c1a3107721e6f96d3bd47a78c576144aecae34e78eceaa731a50825",
         "table4.csv": "2771217817fca8ba3ba6ab1a21f5535bce24c494a54deea06a0d3724941859a9",
     },
     "k3-rho0": {
         "boxplot_data.csv": "f39c50e50f2acfe02830f320ce7b806139e5d28660f001238e842bbe69105ef8",
-        "grid_report.json": "c636c2e35236095777dfc35c3b347ee2b299e8544ab8879761d5ac1cb8d6e6c0",
-        "per_rep.csv": "60dff7651493e5c2daa0d5e12743a8385a078c2470d419f19a8cf55413eac473",
-        "scatter_data.csv": "2834e0a5e70f3e5ed66d2b57ba262b6b346eefacdb45d79dfbdee2223e654e83",
+        "grid_report.json": "791ef0d1758e4af0f393a492df0940a35b393f3f86250a031300db93ad23df29",
+        "per_rep.csv": "39cfefb4495f0ee0da5d88c3b81d35c07da8520893d76a2895eda5d521272710",
+        "scatter_data.csv": "b81354f79bf07fc9c2a389082f07839a98a54e51a7a6c894e18f36f36540d15e",
         "table2.csv": "4850102742d68bd3b4097a9166582490fa60eed02c78e3ea552bf91fde0362a0",
         "table3.csv": "428f0d8e924a80ef03a304be7f5116b1ec90cd5e19f86768570b52257ae5d911",
-        "table4.csv": "fe83c96e40cb55e897ccf66ef6f3a942ea854e9f4050574a0da2dad84de9e0eb",
+        "table4.csv": "95611db74fe3cfc8d4c60f9db19d1b84d57e9df33577bba226e8e7447ecb8f48",
     },
     }
     # the manifest's run-dependent values
     VOLATILE = re.compile(r'("(?:timestamp|out_dir)": )"[^"]*"')
 
     @pytest.mark.parametrize("run", RUNS)
-    def test_output_digests(self, runner, tmp_path, run):
-        invoke(runner, ["simulate", "--reps", "50", *self.RUNS[run], "--emit-per-rep",
-                        "--out-dir", str(tmp_path)])
+    def test_output_digests(self, tmp_path, run):
+        env = {name: value for name, value in os.environ.items()
+               if name != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"  # numpy loads before the CLI would set it
+        if platform.machine() in ("x86_64", "AMD64"):
+            env["NPY_DISABLE_CPU_FEATURES"] = self.PIN
+        result = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "simulate", "--reps", "50", *self.RUNS[run],
+             "--emit-per-rep", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        if result.returncode == 77:
+            pytest.skip(f"numpy still dispatches to {result.stderr} under the pin")
+        assert result.returncode == 0, result.stderr
         digests = {}
         for path in sorted(tmp_path.iterdir()):
             data = path.read_bytes()

@@ -39,6 +39,8 @@ from rmbayes import (
 from rmbayes.cli import main
 from rmbayes.errors import DomainError
 
+from conftest import fresh_python
+
 
 def _quietly(make):
     """``make`` with warnings off: numpy's overflow warning on building a float16
@@ -174,6 +176,15 @@ class TestNamedInputs:
         pytest.param(lambda: generate_dataset(SimulationConfig(n=10, rho=0.2, delta=1.7e308), 0),
                      "cell n10_k3_rho0.2_delta1.7e+308, replication 0: ",
                      id="dataset-overflows"),
+        # numpy's MemoryError and ValueError ("array is too big") before
+        pytest.param(lambda: generate_dataset(SimulationConfig(n=2 ** 50, rho=0.2, delta=0.0,
+                                                               reps=1), 0),
+                     "cell n1125899906842624_k3_rho0.2_delta0: its n-by-k design does not "
+                     "fit in memory", id="dataset-huge-n"),
+        pytest.param(lambda: generate_dataset(SimulationConfig(n=10, rho=0.2, delta=0.0,
+                                                               k=2 ** 61, reps=1), 0),
+                     "cell n10_k2305843009213693952_rho0.2_delta0: its n-by-k design does not "
+                     "fit in memory", id="dataset-huge-k"),
     ])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
@@ -193,6 +204,23 @@ class TestNamedInputs:
     ])
     def test_float_twin(self, call, twin):
         assert call() == twin()
+
+    def test_profile_of_an_unallocatable_k(self):
+        # make_profile's former loop over range(k) never returned at this k and grew
+        # without bound, so a fresh interpreter runs it, in 2 GiB and under a timeout;
+        # one OpenBLAS thread, whose per-core buffers would otherwise count against the cap
+        code = ("import os, resource, warnings\n"
+                "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+                "warnings.simplefilter('error')\n"
+                "from rmbayes import DomainError, SimulationConfig, make_profile\n"
+                "try:\n"
+                "    make_profile(SimulationConfig(n=10, rho=0.2, delta=0.0, k=2 ** 61))\n"
+                "except DomainError as exc:\n"
+                "    print(exc)")
+        assert fresh_python(code, timeout=60) == (
+            "cell n10_k2305843009213693952_rho0.2_delta0: its n-by-k design does not fit "
+            "in memory")
 
     def test_non_reals_keep_their_messages(self):
         for bad in (Decimal("2.5"), 1 + 0j, np.bool_(True), "2.5", None):

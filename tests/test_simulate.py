@@ -39,7 +39,7 @@ from rmbayes.simulate import (
     _splitmix64,
 )
 
-from conftest import reference_dataset
+from conftest import reference_dataset, reference_make_profile
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
@@ -242,6 +242,16 @@ class TestMakeProfile:
         assert math.fsum(alphas) == pytest.approx(0.0, abs=1e-12 * max(1.0, delta))
         assert max(alphas) - min(alphas) == pytest.approx(delta, rel=1e-12, abs=1e-15)
 
+    def test_equals_the_reference_loop(self):
+        rng = np.random.default_rng(200)
+        deltas = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 1e300,
+                  *rng.uniform(0.0, 5.0, 20).tolist(), *(10.0 ** rng.uniform(-300, 300, 10))]
+        for k in range(2, 201):
+            for delta in deltas:
+                config = config_for(k=k, delta=float(delta))
+                assert list(map(float.hex, make_profile(config))) == \
+                    list(map(float.hex, reference_make_profile(config))), (k, delta)
+
 
 class TestPerRepProfile:
     def test_equal_spacing_is_fixed(self):
@@ -324,9 +334,9 @@ class TestGenerateDataset:
 
     def test_block_rows_are_the_single_datasets(self):
         config = config_for(n=7, k=4, rho=0.3, delta=0.6)
-        normals, data = np.empty((6, 7 * 5)), np.empty((6, 7, 4))
-        sim._draw(config, 3, 8, normals, data)
-        for row, rep in zip(data, range(3, 8)):
+        (first, data), = sim._draw(config, 3, 8)
+        assert first == 3 and data.shape == (5, 7, 4)
+        for row, rep in zip(data, range(3, 8), strict=True):
             assert row.tobytes() == generate_dataset(config, rep).tobytes()
 
     @pytest.mark.parametrize("rep", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(7)])
