@@ -16,7 +16,7 @@ Everything is computed in natural-log space; the linear Bayes factor is
 derived afterwards and saturates to the largest finite float (with a flag)
 instead of overflowing.  The closed forms behind the public functions take a
 numeric namespace (``math`` by default), so the simulation evaluates the
-same formulas as numpy ufuncs over whole arrays of replications.
+same formulas over whole arrays of replications.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import sys
 from contextlib import closing
 from datetime import datetime, timezone
 from importlib import import_module
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -238,12 +237,16 @@ def _read_wide_csv(path: str) -> np.ndarray:
 
     with open(path, newline="", encoding="utf-8") as handle:
         try:
-            header = next(csv.reader(handle), [])
+            reader = csv.reader(handle)
+            header = next(reader, [])
             first = next(handle, "")
-            # loadtxt warns on input with no data row; a blank first row goes to the row reader
-            if any(cell.strip() for cell in header) and first.strip():
-                values = np.loadtxt(chain([first], handle), delimiter=",", quotechar='"',
-                                    comments=None, ndmin=2)
+            # left to the row reader: no data row or a blank first one (loadtxt warns),
+            # a header over more lines than the one loadtxt skips, and a name loadtxt
+            # opens as compressed (.gz, .bz2, .xz, .lzma) or as a URL (://)
+            if (any(cell.strip() for cell in header) and first.strip() and reader.line_num == 1
+                    and not re.search(r"://|\.(gz|bz2|xz|lzma)\Z", os.fspath(path))):
+                values = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                                    skiprows=1, encoding="utf-8", ndmin=2)
                 if len(values) >= 2 and values.shape[1] == len(header):
                     return values
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError

@@ -30,11 +30,10 @@ percentile rule.
 :func:`run_cell` works in batched passes over blocks of replications, and
 :func:`generate_dataset` is the sampler on a block of one: the dataset
 :func:`run_cell` analyses for that replication.  The model choices (hence
-accuracies and consistencies) are those of the one-replication-at-a-time
-chain :func:`generate_dataset` -> :func:`~rmbayes.anova.rm_anova` -> the
-scalar Bayes factor routes.  F, the Bayes factors and the posteriors may
-differ from that chain by a few ulp, because batched reductions and ufuncs
-may round differently; the block size never changes a result.
+accuracies and consistencies), F, the Bayes factors and the posteriors are
+those of the one-replication-at-a-time chain :func:`generate_dataset` ->
+:func:`~rmbayes.anova.rm_anova` -> the scalar Bayes factor routes, bit for
+bit, and the block size never changes a result.
 
 Condition-mean spacing
 ----------------------
@@ -470,6 +469,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return max(-1.0, min(1.0, float(np.einsum("i,i->", xd, yd)) / (sx * sy)))
 
 
+class _libm:
+    """``math``'s log, log1p and exp on each entry of a 1-d array: the batched
+    formulas' ``xp``, which rounds as the scalar routes do where numpy's loops
+    follow the CPU.  math raises where numpy returns inf or NaN, but no argument
+    leaves its domain: F >= 0, so log1p's is too; run_cell has rejected SSR <= 0
+    and SSB <= 0, so SST - SSB >= SSR > 0 and the Nathoo-Masson logs take
+    positive numbers; and the posterior's exp arguments are <= 0."""
+
+    log, log1p, exp = (staticmethod(lambda x, f=f: np.fromiter(map(f, x.tolist()), float, len(x)))
+                       for f in (math.log, math.log1p, math.exp))
+
+
 def run_cell(config: SimulationConfig) -> CellResult:
     """Run every replication of one cell and aggregate both methods.
 
@@ -500,11 +511,11 @@ def run_cell(config: SimulationConfig) -> CellResult:
                 "(no residual or no subject variability, or an overflow)"
             )
         f_stat[first:stop] = f
-        log_bf01_min[first:stop] = _log_bf01_minimal_rm(f, n, k, np)
-        log_bf01_nm[first:stop] = _log_bf01_nathoo(n, k, ssa, ssb, sst, np)
+        log_bf01_min[first:stop] = _log_bf01_minimal_rm(f, n, k, _libm)
+        log_bf01_nm[first:stop] = _log_bf01_nathoo(n, k, ssa, ssb, sst, _libm)
 
-    posterior_min = _posterior_h0(log_bf01_min, xp=np)
-    posterior_nm = _posterior_h0(log_bf01_nm, xp=np)
+    posterior_min = _posterior_h0(log_bf01_min, xp=_libm)
+    posterior_nm = _posterior_h0(log_bf01_nm, xp=_libm)
     h0_min = _chooses_h0(log_bf01_min)
     h0_nm = _chooses_h0(log_bf01_nm)
     true_h0 = config.delta == 0.0

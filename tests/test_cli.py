@@ -515,7 +515,6 @@ class TestSimulate:
             for method in ("min", "nm"):
                 log_bf01 = float(getattr(series, f"log_bf01_{method}")[rep])
                 bf01 = float(row[f"bf01_{method}"])
-                # math.exp, as the file is written, not np.exp: they may differ by an ulp
                 assert bf01 == _saturating_exp(log_bf01)[0]
                 assert float(row[f"posterior_{method}"]) == \
                     getattr(series, f"posterior_{method}")[rep]
@@ -685,34 +684,8 @@ class TestSeededOutputBytes:
     """Every file of a few seeded ``simulate --reps 50`` runs, pinned by its
     SHA-256: uniform spacing at k = 3 and k = 5 with delta > 0 (one and three
     profile draws per replication), k = 2, equal spacing, delta = 0, and rho = 0,
-    where the -0.0 effects of a null profile meet zero subject effects.
-
-    numpy picks its ``log1p``, ``log`` and ``exp`` loops, which the posteriors
-    follow, by the CPU. So each run is a fresh interpreter, and on x86-64 its
-    dispatch is pinned to the loops every x86-64-v2 CPU runs, by the feature
-    group names of numpy 2.4 and by the feature names of older numpy; a name
-    numpy does not know is ignored with an ImportWarning. The run checks that
-    no loop above x86-64-v2 is left on and is skipped where one is."""
-
-    PIN = ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR AVX F16C FMA3 AVX2 AVX512F AVX512CD "
-           "AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL")
-    # exit status 77: numpy still dispatches to a loop above x86-64-v2
-    CHILD = (
-        "import os, sys\n"
-        "try:\n"
-        "    from numpy._core import _multiarray_umath as umath\n"
-        "except ImportError:  # numpy 1.x\n"
-        "    from numpy.core import _multiarray_umath as umath\n"
-        "v2 = {'SSE', 'SSE2', 'SSE3', 'SSSE3', 'SSE41', 'POPCNT', 'SSE42', 'X86_V2'}\n"
-        "dispatched = getattr(umath, '__cpu_dispatch__', umath.__cpu_features__)\n"
-        "on = [name for name in dispatched if 'NPY_DISABLE_CPU_FEATURES' in os.environ\n"
-        "      and umath.__cpu_features__.get(name) and name not in v2]\n"
-        "if on:\n"
-        "    sys.stderr.write(' '.join(on))\n"
-        "    sys.exit(77)\n"
-        "from rmbayes.cli import main\n"
-        "main(prog_name='rmbayes')\n"
-    )
+    where the -0.0 effects of a null profile meet zero subject effects. Each run
+    is a fresh interpreter."""
 
     RUNS = {
         "k3-uniform": ["--k", "3", "--n", "10,20", "--rho", "0.2,0.8", "--delta", "0,0.5",
@@ -776,18 +749,12 @@ class TestSeededOutputBytes:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_output_digests(self, tmp_path, run):
-        env = {name: value for name, value in os.environ.items()
-               if name != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        env["OPENBLAS_NUM_THREADS"] = "1"  # numpy loads before the CLI would set it
-        if platform.machine() in ("x86_64", "AMD64"):
-            env["NPY_DISABLE_CPU_FEATURES"] = self.PIN
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",  # numpy loads before the CLI sets it
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
-            [sys.executable, "-c", self.CHILD, "simulate", "--reps", "50", *self.RUNS[run],
+            [sys.executable, "-m", "rmbayes.cli", "simulate", "--reps", "50", *self.RUNS[run],
              "--emit-per-rep", "--out-dir", str(tmp_path)],
             env=env, capture_output=True, text=True)
-        if result.returncode == 77:
-            pytest.skip(f"numpy still dispatches to {result.stderr} under the pin")
         assert result.returncode == 0, result.stderr
         digests = {}
         for path in sorted(tmp_path.iterdir()):

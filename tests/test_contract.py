@@ -8,9 +8,11 @@ it, or raises DomainError, whatever it is given: huge ints, ``Fraction``s,
 line and no traceback. The suite's filters make every warning an error, so a
 numpy ``RuntimeWarning`` breaks the contract too.
 
-``f_cdf`` and ``rm_anova`` are left out of the properties: at large degrees of
-freedom ``f_cdf``'s continued fraction can still stop with RuntimeError, which
-is an open accuracy item of its own; their named inputs are here.
+``rm_anova`` takes matrices of those scalars, whose degrees of freedom are
+small enough for its p-value to converge. ``f_cdf`` is left out of the
+properties: at large degrees of freedom its continued fraction can still stop
+with RuntimeError, which is an open accuracy item of its own (ROADMAP item 2);
+its named inputs are here.
 """
 
 import math
@@ -35,6 +37,7 @@ from rmbayes import (
     delta_bic_nathoo,
     f_cdf,
     generate_dataset,
+    rm_anova,
 )
 from rmbayes.cli import main
 from rmbayes.errors import DomainError
@@ -78,6 +81,24 @@ SCALARS = st.one_of(
 # counts: mostly valid ones, so that the formulas run, and the whole strategy
 COUNTS = st.one_of(st.integers(min_value=2, max_value=400),
                    st.sampled_from([10 ** 300, 10 ** 306, 10 ** 307, 2 ** 1023]), SCALARS)
+
+
+def matrices(entries):
+    """n-by-k nested lists of ``entries``, with 2 <= n <= 6 and 2 <= k <= 5."""
+    return st.tuples(st.integers(2, 6), st.integers(2, 5)).flatmap(
+        lambda shape: st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0]))
+
+
+_float_array = _quietly(lambda value: np.array(value, dtype=float))
+
+
+def _casts_to_float(value) -> bool:
+    try:
+        _float_array(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
 
 
 def assert_no_nan(result) -> None:
@@ -130,6 +151,14 @@ class TestScalarProperty:
         result = value_or_domain_error(lambda: delta_bic_nathoo(stats, prior))
         if result is not None:
             assert_evidence(result)
+
+    @FUZZ
+    @given(data=st.one_of(matrices(SCALARS),
+                          matrices(SCALARS.filter(_casts_to_float)).map(_float_array)))
+    def test_rm_anova(self, data):
+        table = value_or_domain_error(lambda: rm_anova(data))
+        if table is not None:
+            assert_no_nan(table)
 
     @FUZZ
     @given(n=COUNTS, k=COUNTS)

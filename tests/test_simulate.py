@@ -424,10 +424,24 @@ class TestBatchedCore:
         for rep, (f_stat, ev_min, ev_nm) in enumerate(reference):
             assert choice[bool(series.log_bf01_min[rep] >= 0)] is choose_model(ev_min)
             assert choice[bool(series.log_bf01_nm[rep] >= 0)] is choose_model(ev_nm)
-            assert series.f_stat[rep] == pytest.approx(f_stat, rel=1e-12)
-            assert series.posterior_min[rep] == pytest.approx(ev_min.posterior_h0, rel=1e-12)
-            assert series.posterior_nm[rep] == pytest.approx(ev_nm.posterior_h0, rel=1e-12)
+            assert series.f_stat[rep] == f_stat
+            assert series.posterior_min[rep] == ev_min.posterior_h0
+            assert series.posterior_nm[rep] == ev_nm.posterior_h0
         assert len(series.f_stat) == config.reps
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 30), k=st.integers(2, 9), reps=st.integers(1, 12),
+           rho=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           delta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           spacing=st.sampled_from(["uniform", "equal"]), seed=st.integers(0, 2 ** 64 - 1))
+    def test_every_field_is_the_scalar_chain(self, n, k, reps, rho, delta, spacing, seed):
+        config = SimulationConfig(n=n, k=k, reps=reps, rho=rho, delta=delta, spacing=spacing,
+                                  master_seed=seed)
+        chain = [(f_stat, ev_min.log_bf01, ev_nm.log_bf01, ev_min.posterior_h0, ev_nm.posterior_h0)
+                 for f_stat, ev_min, ev_nm in scalar_chain(config, range(reps))]
+        series = run_cell(config).series
+        for field, values in zip(fields(series), zip(*chain)):
+            assert getattr(series, field.name).tolist() == list(values), field.name
 
     def test_block_boundary_changes_nothing(self):
         config = config_for(n=20, rho=0.2, delta=0.5)
@@ -438,8 +452,8 @@ class TestBatchedCore:
             assert np.array_equal(getattr(above, field.name)[:block - 1],
                                   getattr(below, field.name))
         (f_stat, ev_min, _), = scalar_chain(config, [block])
-        assert above.f_stat[block] == pytest.approx(f_stat, rel=1e-12)
-        assert above.posterior_min[block] == pytest.approx(ev_min.posterior_h0, rel=1e-12)
+        assert above.f_stat[block] == f_stat
+        assert above.posterior_min[block] == ev_min.posterior_h0
 
 
 class TestRunGrid:

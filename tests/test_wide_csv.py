@@ -50,6 +50,10 @@ EDGE_CASES = {
     "whitespace-only row above numbers": " , \n1,2\n3,4\n5,6\n",
     "quoted cells": '"a","b"\n"1","2"\n"3",4\n',
     "quoted header comma": '"a,b",c\n1,2\n3,4\n',
+    "quoted header newline": '"a\nb",c\n1,2\n3,4\n',
+    # the header's second line, read on its own, is a row of numbers
+    "quoted header over a number row": '"a\n"1",2\n3,4\n',
+    "byte order mark": "\ufeffa,b\n1,2\n3,4\n",
     "quoted newline": 'a,b\n"1\n",2\n3,4\n',
     "quote then digit": 'a,b\n"1"2,3\n4,5\n',
     "unterminated quote": 'a,b\n"1,2\n3,4\n',
@@ -87,6 +91,11 @@ EDGE_CASES = {
 @pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_edge_cases_read_like_reference(tmp_path, text):
     assert_reads_like_reference(tmp_path / "wide.csv", text)
+
+
+@pytest.mark.parametrize("name", ["wide.csv.gz", "wide.bz2", "wide.xz", "wide.lzma"])
+def test_compression_suffix_is_a_plain_name(tmp_path, name):
+    assert_reads_like_reference(tmp_path / name, EDGE_CASES["plain"])
 
 
 def _from_bits(bits: int) -> float:
