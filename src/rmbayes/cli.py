@@ -18,13 +18,15 @@ import re
 import sys
 from contextlib import closing
 from datetime import datetime, timezone
-from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
+# rm_anova and run_grid import numpy: cmd_anova and cmd_simulate look them up on this
+# module, which finds a wrapper bound here (perfbench's trace points) or else falls
+# through to the package's lazy __getattr__, bound as this module's own
+from . import __getattr__, __version__
 from .apa import _report_bounds, _rm_design, _scan
 # unused here: perfbench's trace points patch them as rmbayes.cli globals (ROADMAP item 3)
 from .apa import infer_rm_design, parse_reports
@@ -49,22 +51,6 @@ if TYPE_CHECKING:
     from .simulate import FiveNumberSummary, GridReport
 
 _SCHEMA_VERSION = 1
-
-
-def _numpy_backed(name: str):
-    """``rm_anova`` or ``run_grid``, bound as a module global on first use, which
-    imports numpy. A value already bound there, such as a wrapper, is kept."""
-    if name not in globals():
-        module = import_module(".anova" if name == "rm_anova" else ".simulate", __package__)
-        globals()[name] = getattr(module, name)
-    return globals()[name]
-
-
-def __getattr__(name: str):
-    """``rmbayes.cli.rm_anova`` and ``rmbayes.cli.run_grid`` before first use."""
-    if name in ("rm_anova", "run_grid"):
-        return _numpy_backed(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -314,7 +300,7 @@ def _render_anova_table(table) -> list[str]:
 def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
     """Repeated-measures ANOVA of a wide-format CSV (one row per subject)."""
     data = _read_wide_csv(csv_path)
-    table = _numpy_backed("rm_anova")(data)
+    table = sys.modules[__name__].rm_anova(data)
     design = DesignSpec(*data.shape)
     evidence = []
     if with_bf:
@@ -465,8 +451,8 @@ def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
     n_values = _parse_number_list(n_list, int, "subject-count")
     rho_values = _parse_number_list(rho_list, float, "correlation")
     delta_values = _parse_number_list(delta_list, float, "effect-size")
-    report = _numpy_backed("run_grid")(n_values, rho_values, delta_values, k=k, reps=reps,
-                                       master_seed=seed, spacing=spacing, workers=workers)
+    report = sys.modules[__name__].run_grid(n_values, rho_values, delta_values, k=k, reps=reps,
+                                            master_seed=seed, spacing=spacing, workers=workers)
     params = {
         "n_values": list(n_values), "rho_values": list(rho_values),
         "delta_values": list(delta_values), "k": k, "reps": reps,

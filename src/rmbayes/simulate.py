@@ -407,18 +407,18 @@ def _profiles(config: SimulationConfig, states: np.ndarray) -> np.ndarray:
     return means - means.mean(axis=1, keepdims=True)
 
 
-def _draw(config: SimulationConfig, first: int, stop: int, cause: str = _DESIGN_UNFIT):
+def _draw(config: SimulationConfig, first: int, stop: int):
     """Yield the first replication of each block of replications first..stop-1
     (at most ``_BLOCK_VALUES`` data values, at least one dataset) and a
     (size, n, k) view of its datasets, which the next block overwrites.  Each
     data substream fills its row of the (block, n*(k+1)) scratch with the n
     subject effects, then the n*k noise values; a dataset is (alphas + subject)
     + noise.  An overflow raises DomainError naming the cell and replication,
-    scratch too large to allocate one naming the cell and the ``cause``."""
+    scratch too large to allocate one naming the cell and its design."""
     n, k = config.n, config.k
     block = min(stop - first, max(1, _BLOCK_VALUES // (n * k)))
-    normals = _allocated(config, cause, np.empty, (block, n * (k + 1)))
-    data = _allocated(config, cause, np.empty, (block, n, k))
+    normals = _allocated(config, _DESIGN_UNFIT, np.empty, (block, n * (k + 1)))
+    data = _allocated(config, _DESIGN_UNFIT, np.empty, (block, n, k))
     substream = _substream_factory()
     for rep in range(first, stop, block):
         size = min(block, stop - rep)
@@ -497,7 +497,7 @@ def run_cell(config: SimulationConfig) -> CellResult:
     cause = f"reps={reps} replications do not fit"
     f_stat, log_bf01_min, log_bf01_nm = (_allocated(config, cause, np.empty, reps)
                                          for _ in range(3))
-    for first, data in _draw(config, 0, reps, cause):
+    for first, data in _draw(config, 0, reps):
         stop = first + len(data)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
             ssa, ssb, ssr, sst, f = _decompose(data)

@@ -239,8 +239,9 @@ class TestInferDesign:
             infer_rm_design(stat)
 
     def test_df2_smaller_than_df1_rejected(self):
-        with pytest.raises(DesignInferenceError):
-            infer_rm_design(ReportedStat(f_value=5.0, df1=4, df2=2))
+        for df1, df2, message in [(4, 2, "not divisible"), (1, 0, "imply fewer than 2 subjects")]:
+            with pytest.raises(DesignInferenceError, match=message):
+                infer_rm_design(ReportedStat(f_value=2.0, df1=df1, df2=df2))
 
     @pytest.mark.parametrize("df1,df2", [(0.0, 5.0), (-2.0, 4.0), (-1.0, 0.0), (0.0, 0.0)])
     def test_df1_below_one_rejected_naming_df1(self, df1, df2):

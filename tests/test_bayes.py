@@ -258,6 +258,8 @@ class TestNathooMasson:
         with pytest.raises(DomainError, match="design must be a DesignSpec, got tuple"):
             SummaryStats(ss_treatment=739.0, ss_subjects=103984.0, ss_total=116399.0,
                          design=(23, 2))
+        with pytest.raises(DomainError, match="stats must be a SummaryStats, got str"):
+            delta_bic_nathoo("x")
 
     def test_numpy_numbers_stored_as_float(self):
         stats = SummaryStats(ss_treatment=np.int64(739), ss_subjects=np.float32(103984.0),

@@ -1171,3 +1171,10 @@ class TestErrorBoundary:
         assert result.exit_code == 2
         assert result.stderr == (f"error: cell n20_k3_rho0.2_delta0: reps={reps} replications "
                                  "do not fit in memory\n")
+
+    def test_unallocatable_design_exit_2_with_one_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--n", str(2 ** 50), "--rho", "0.2",
+                                      "--delta", "0", "--reps", "1", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: cell n{2 ** 50}_k3_rho0.2_delta0: its n-by-k design "
+                                 "does not fit in memory\n")

@@ -404,8 +404,8 @@ class TestRunCell:
     @pytest.mark.parametrize("n, k", [(2 ** 50, 3), (2 ** 62, 3), (10, 2 ** 61)])
     def test_unallocatable_design_raises_domain_error_naming_the_cell(self, n, k):
         config = config_for(n=n, k=k, reps=1)
-        with pytest.raises(DomainError, match=rf"^cell {config.cell_id}: reps=1 replications "
-                                              "do not fit in memory$"):
+        with pytest.raises(DomainError, match=rf"^cell {config.cell_id}: its n-by-k design "
+                                              "does not fit in memory$"):
             run_cell(config)
 
 
