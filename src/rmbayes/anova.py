@@ -206,36 +206,26 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Modified Lentz evaluation of the incomplete-beta continued fraction."""
     tiny = 1e-300  # floor keeps intermediate denominators away from 0
     eps = 1e-16
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
+    d = 1.0 - (a + b) * x / (a + 1.0)
     if abs(d) < tiny:
         d = tiny
     d = 1.0 / d
     h = d
     for m in range(1, 501):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd coefficient of step m
+        for coef in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                     -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 + coef * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coef / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise RuntimeError(

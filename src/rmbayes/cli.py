@@ -334,11 +334,12 @@ def _parse_number_list(raw: str, cast, label: str) -> tuple:
     return values
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """The header line, then each block of whole lines. Callers write csv.writer's
+    bytes: a float by repr, an int by str, None as "", and no cell needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(blocks)
 
 
 def _grid_json(report: GridReport) -> dict:
@@ -373,7 +374,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
     with open(target("grid_report.json"), "w", encoding="utf-8") as handle:
         handle.write(_report_json("simulate", params, grid, seed=seed) + "\n")
 
-    # each summary table lists, per record, the values of its columns; csv writes None as ""
+    # each summary table lists, per record, the values of its columns
     key = ["delta", "rho", "n"]
     cells = grid["cells"]
     boxplot_records = [{**cell, "method": method, **cell[f"posterior_quantiles_{suffix}"]}
@@ -384,39 +385,34 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
             ("table3.csv", ["consistency"], cells),
             ("table4.csv", ["posterior_correlation"], cells),
             ("boxplot_data.csv", ["method", "min", "q1", "median", "q3", "max"], boxplot_records)):
-        header = key + columns
-        _write_csv(target(name), header, [[record[column] for column in header]
-                                          for record in records])
+        _write_csv(target(name), key + columns, (
+            ",".join("" if record[column] is None else str(record[column])
+                     for column in key + columns) + "\n" for record in records))
 
-    # csv.writer's bytes, written line by line: it writes a float by repr and an int
-    # by str, and no cell here needs quoting
-    with open(target("scatter_data.csv"), "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(["cell_id", *key, "rep", "posterior_min", "posterior_nm"]) + "\n")
-        for cell in report.cells:
-            head = f"{cell.cell_id},{cell.config.delta!r},{cell.config.rho!r},{cell.config.n},"
-            handle.write("".join(
-                f"{head}{rep},{posterior_min!r},{posterior_nm!r}\n"
-                for rep, (posterior_min, posterior_nm) in enumerate(zip(
-                    cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist()))))
+    # the per-replication files: one cell's lines at a time, each from the cell's template
+    def scatter_lines(cell) -> str:
+        head = f"{cell.cell_id},{cell.config.delta!r},{cell.config.rho!r},{cell.config.n},"
+        return "".join(f"{head}{rep},{posterior_min!r},{posterior_nm!r}\n"
+                       for rep, (posterior_min, posterior_nm) in enumerate(zip(
+                           cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist())))
 
-    if emit_per_rep:
+    def per_rep_lines(cell) -> str:
         choice = {True: ModelChoice.H0.value, False: ModelChoice.H1.value}
-        per_rep_rows = []
-        for cell in report.cells:
-            cell_id, series = cell.cell_id, cell.series
-            columns = zip(series.f_stat.tolist(), series.log_bf01_min.tolist(),
-                          series.log_bf01_nm.tolist(), series.posterior_min.tolist(),
-                          series.posterior_nm.tolist())
-            per_rep_rows.extend(
-                [cell_id, rep, f_stat, _saturating_exp(log_min)[0],
-                 _saturating_exp(log_nm)[0], posterior_min, posterior_nm,
-                 choice[_chooses_h0(log_min)], choice[_chooses_h0(log_nm)]]
-                for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm)
-                in enumerate(columns))
-        _write_csv(target("per_rep.csv"),
-                   ["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
-                    "posterior_min", "posterior_nm", "choice_min", "choice_nm"],
-                   per_rep_rows)
+        return "".join(
+            f"{cell.cell_id},{rep},{f_stat!r},{_saturating_exp(log_min)[0]!r},"
+            f"{_saturating_exp(log_nm)[0]!r},{posterior_min!r},{posterior_nm!r},"
+            f"{choice[_chooses_h0(log_min)]},{choice[_chooses_h0(log_nm)]}\n"
+            for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(zip(
+                *(getattr(cell.series, name).tolist() for name in (
+                    "f_stat", "log_bf01_min", "log_bf01_nm", "posterior_min", "posterior_nm")))))
+
+    _write_csv(target("scatter_data.csv"),
+               ["cell_id", *key, "rep", "posterior_min", "posterior_nm"],
+               map(scatter_lines, report.cells))
+    if emit_per_rep:
+        _write_csv(target("per_rep.csv"), ["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
+                                           "posterior_min", "posterior_nm", "choice_min",
+                                           "choice_nm"], map(per_rep_lines, report.cells))
     return written
 
 

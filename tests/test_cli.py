@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from rmbayes import SimulationConfig, run_cell
+from rmbayes import SimulationConfig, run_cell, run_grid
 from rmbayes import cli
 from rmbayes.apa import ReportedStat, _report_bounds, infer_rm_design, parse_reports
 from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
@@ -521,6 +522,21 @@ class TestSimulate:
                 choice = row[f"choice_{method}"]
                 assert choice == ("H0" if log_bf01 >= 0 else "H1")
                 assert (bf01 >= 1.0) == (choice == "H0")
+
+    def test_csv_writer_holds_one_cell_at_a_time(self, tmp_path):
+        # the writer's peak must not grow with the number of cells
+        def write_peak(report, out_dir) -> int:
+            tracemalloc.start()
+            try:
+                cli._write_grid_outputs(report, str(out_dir), {}, 0, emit_per_rep=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_cell = run_grid((20,), (0.2,), (0.0,), reps=3000)
+        eight_cells = run_grid((20, 30), (0.2, 0.8), (0.0, 0.5), reps=3000)
+        ratio = write_peak(eight_cells, tmp_path / "8") / write_peak(one_cell, tmp_path / "1")
+        assert ratio < 1.5
 
     def test_scatter_rows_match_series(self, runner, tmp_path):
         # rho 0.123456789 is written in full in the rho column, as 0.123457 in the cell id
