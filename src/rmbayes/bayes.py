@@ -163,7 +163,13 @@ def _posterior_h0(log_bf01, prior_h0: float = 0.5, xp=math):
 
 
 def _log_bf01_between(f_stat, df1: int, df2: int, n_obs: int, xp=math):
-    return 0.5 * (df1 * math.log(n_obs) - n_obs * xp.log1p(f_stat * df1 / df2))
+    product = f_stat * df1
+    if xp is math and product == math.inf:  # a finite F above float max / df1
+        log_ratio = math.log(f_stat) + math.log(df1) - math.log(df2)
+        log_term = log_ratio + math.log1p(math.exp(-log_ratio))  # ln(1+x) = ln x + ln(1+1/x)
+    else:
+        log_term = xp.log1p(product / df2)
+    return 0.5 * (df1 * math.log(n_obs) - n_obs * log_term)
 
 
 def _log_bf01_minimal_rm(f_stat, n: int, k: int, xp=math):

@@ -4,7 +4,8 @@ CSV data, the Monte Carlo grid, and scanning text for reported F statistics.
 This module alone turns the library's result dataclasses into the report-v1
 JSON and the CSV files.
 
-Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure.
+Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure;
+the process leaves by ``run`` alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 import re
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -115,21 +116,6 @@ def _render_evidence(result) -> list[str]:
     ]
 
 
-class _Unflushed:
-    """A stdout whose write failed, with a flush that does nothing: Python flushes
-    stdout at exit, which would retry the write and print a second error (click
-    wraps a closed pipe the same way)."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def flush(self) -> None:
-        pass
-
-    def __getattr__(self, name: str):
-        return getattr(self._stream, name)
-
-
 class _Main(click.Group):
     """The command group, and the one place where an error becomes an exit code:
     a DomainError exits 2 and an OSError 3, each after one ``error:`` line on
@@ -147,14 +133,7 @@ class _Main(click.Group):
             raise
         except (DomainError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            if isinstance(exc, DomainError):
-                sys.exit(2)
-            try:  # a failed write to stdout stays in its buffer, and exit would retry it
-                if sys.stdout is not None:  # None when stdout is closed (>&-)
-                    sys.stdout.flush()
-            except OSError:
-                sys.stdout = _Unflushed(sys.stdout)
-            sys.exit(3)
+            sys.exit(2 if isinstance(exc, DomainError) else 3)
 
 
 @click.group(cls=_Main)
@@ -627,5 +606,21 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
     click.echo(tail if echoed else empty)
 
 
+def run() -> None:
+    """The ``rmbayes`` process: ``main``, then its stdout and stderr flushed, then
+    ``os._exit`` with main's status, which skips the interpreter's teardown. A write
+    that fails here was reported already, as exit 3, or is a closed pipe's."""
+    try:
+        main()
+    except SystemExit as exc:  # standalone click always raises one
+        if not isinstance(exc.code, (int, type(None))):
+            raise
+        status = exc.code or 0
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when closed (>&-)
+        with suppress(OSError):
+            stream.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,15 @@ def fresh_python(code: str, args=(), stdin: str = "", timeout: float | None = No
     out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
                          capture_output=True, text=True, check=True, timeout=timeout).stdout
     return out.splitlines()[-1]
+
+
+def decimal_log_bf01_between(f: float, df1: int, df2: int, n_obs: int) -> float:
+    """[df1 ln N - N ln(1 + F df1/df2)] / 2 in 50-digit decimal arithmetic, where
+    the float product F df1 would overflow."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        f, df1, df2, n_obs = map(Decimal, (f, df1, df2, n_obs))
+        return float((df1 * n_obs.ln() - n_obs * (1 + f * df1 / df2).ln()) / 2)
 
 
 def definitional_anova(matrix) -> tuple[float, float, float, float]:

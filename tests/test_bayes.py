@@ -24,6 +24,8 @@ from rmbayes import (
 from rmbayes.bayes import _posterior_h0
 from rmbayes.errors import DomainError
 
+from conftest import decimal_log_bf01_between
+
 
 def minimal_log_bf01(f: float, n: int, k: int) -> float:
     # direct evaluation of the repeated-measures closed form (test oracle)
@@ -385,3 +387,32 @@ class TestUndefinedLogBf:
         result = bf01_minimal_rm(0.0, DesignSpec(2, 10 ** 305))
         assert result.saturated and result.posterior_h0 == 1.0 and result.posterior_h1 == 0.0
         assert math.isfinite(result.log_bf01)
+
+
+class TestProductPastFloatMax:
+    """A finite F above float max / df1 overflows F * df1, yet log BF01 is finite."""
+
+    @pytest.mark.parametrize("f", [9e307, 1e308, 1.7e308, sys.float_info.max])
+    def test_between_matches_the_closed_form(self, f):
+        result = bf01_between(f, 2, 18, 20)
+        assert result.log_bf01 == pytest.approx(decimal_log_bf01_between(f, 2, 18, 20),
+                                                rel=1e-12)
+        assert result.posterior_h0 == 0.0 and result.saturated
+
+    def test_minimal_route_matches_the_closed_form(self):
+        result = bf01_minimal_rm(9e307, DesignSpec(10, 3))
+        assert result.log_bf01 == pytest.approx(decimal_log_bf01_between(9e307, 2, 18, 20),
+                                                rel=1e-12)
+        assert result.log_bf01 == pytest.approx(-7065.9405032181663, rel=1e-12)
+
+    def test_log_bf01_falls_across_the_overflow_edge(self):
+        # the product of 8e307 is finite and keeps its bits; 9e307 takes the log route
+        below = bf01_between(8e307, 2, 18, 20).log_bf01
+        assert below == 0.5 * (2 * math.log(20) - 20 * math.log1p(8e307 * 2 / 18))
+        assert bf01_between(9e307, 2, 18, 20).log_bf01 < below
+
+    def test_a_huge_df2_keeps_the_ratio_below_2_to_the_53(self):
+        # F df1 / df2 = 1e9, where ln(1 + x) and ln x differ in the tenth digit
+        result = bf01_between(1e308, 10, 10 ** 300, 100)
+        assert result.log_bf01 == pytest.approx(
+            decimal_log_bf01_between(1e308, 10, 10 ** 300, 100), rel=1e-12)

@@ -27,7 +27,8 @@ from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_mini
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
 
-from conftest import SRC, assert_schema_valid, build_two_condition_matrix
+from conftest import (SRC, assert_schema_valid, build_two_condition_matrix,
+                      decimal_log_bf01_between)
 
 
 @pytest.fixture()
@@ -265,6 +266,25 @@ def test_overflowing_log_bf_exit_2(runner, as_json):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: log BF01 is inf: a BIC term overflows the float range\n"
+
+
+@pytest.mark.parametrize("command", [["bf", "--f", "9e307", "--n", "10", "--k", "3", "--json"],
+                                     ["parse", "--json", "-"]], ids=["bf", "parse"])
+def test_f_above_float_max_over_df1_evaluates(runner, command):
+    # F * df1 overflows, while the log BF01 is finite: once a false "BIC term overflows"
+    result = invoke(runner, command, input="F(2, 18) = 9e307")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    evidence = payload["reports"][0]["evidence"] if "reports" in payload else payload["evidence"]
+    assert evidence["log_bf01"] == pytest.approx(decimal_log_bf01_between(9e307, 2, 18, 20),
+                                                 rel=1e-12)
+    assert evidence["posterior_h0"] == 0.0
+
+
+def test_f_above_float_max_over_df1_is_listed_with_its_design(runner):
+    result = invoke(runner, ["parse"], input="F(2, 18) = 1e308")
+    assert result.exit_code == 0
+    assert result.output == "F(2, 18) = 1e+308            n=10  k=3  BF01 = 0.000  p(H0|y) = 0.000\n"
 
 
 class TestAnova:
@@ -1179,6 +1199,58 @@ class TestErrorBoundary:
             env=env, stderr=subprocess.PIPE, text=True)
         assert result.returncode == 3
         assert result.stderr == "error: [Errno 9] stdout is closed\n"
+
+    @pytest.mark.parametrize("args, status", [
+        (["bf", "--f", "1", "--n", "10", "--k", "3"], 0),
+        (["bf", "--f", "1", "--n", "1", "--k", "3"], 2),
+        (["anova", "MISSING"], 3),
+    ], ids=["ok", "domain-error", "io-error"])
+    def test_run_exits_with_mains_status_and_skips_atexit(self, tmp_path, args, status):
+        # run() leaves by os._exit once stdout and stderr are flushed: no teardown.
+        # The line printed first stays in stdout's buffer unless something flushes it
+        code = ("import atexit, sys\n"
+                "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+                "from rmbayes.cli import run\n"
+                "sys.argv[0] = 'rmbayes'\n"
+                "print('before run')\n"
+                "run()\n")
+        args = [str(tmp_path / "missing.csv") if arg == "MISSING" else arg for arg in args]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # run() itself must flush a buffered stdout
+        result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                capture_output=True, text=True)
+        expected = invoke(CliRunner(), args) if status == 0 else None
+        assert result.returncode == status
+        assert "atexit ran" not in result.stderr
+        if expected is not None:
+            assert result.stdout == "before run\n" + expected.stdout and result.stderr == ""
+        else:
+            assert result.stdout == "before run\n" and len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_run_with_workers_leaves_no_process_and_writes_the_sequential_bytes(self,
+                                                                                 tmp_path):
+        def simulate(workers):
+            out = tmp_path / f"workers{workers}"
+            process = self.cli(["simulate", "--reps", "30", "--workers", str(workers),
+                                "--out-dir", str(out)], stdout=subprocess.DEVNULL,
+                               start_new_session=True)  # its own group: pgid == pid
+            _, stderr = process.communicate(timeout=60)  # a leftover holds stderr open
+            assert (process.returncode, stderr) == (0, "")
+            return process.pid, {
+                path.name: re.sub(rb'"(timestamp|out_dir|workers)": [^\n]*', rb"\1",
+                                  path.read_bytes())
+                for path in out.iterdir()}
+
+        group, parallel = simulate(2)
+        left = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            with contextlib.suppress(OSError):  # a process that ended while listed
+                if os.getpgid(int(pid)) == group:
+                    left.append(pid)
+        assert left == []
+        assert parallel == simulate(1)[1]
 
     @pytest.mark.parametrize("reps", [10 ** 19, 2 ** 63 - 1])
     def test_unallocatable_reps_exit_2_with_one_line(self, runner, tmp_path, reps):

@@ -1,4 +1,4 @@
-"""The minimal route's accuracy and F against their exact law.
+"""Both routes' accuracy, their consistency and F against their exact law.
 
 Under the simulation's model with ``spacing="equal"``, F follows the
 noncentral F(k-1, (n-1)(k-1), lambda) with lambda = n * sum((alpha_j -
@@ -7,15 +7,22 @@ F <= (df2/df1) * expm1(df1 * ln N / N), N = n(k-1), so each cell's
 ``accuracy_min`` has an exact value.  Whatever the effects and their spacing,
 SSB / (1 - rho + k*rho) follows chi-squared(n-1) and SSR / (1 - rho)
 chi-squared((n-1)(k-1)); F's law does not involve the subject variance, so
-only these two catch a wrong scale of the subject effects.  The cells, the
-replication count, the seed and every bound were fixed before the first run.
+only these two catch a wrong scale of the subject effects.
+
+SSA / (1 - rho) follows the noncentral chi-squared(k-1, lambda), independent of
+SSB and SSR.  For fixed SSB and SSR the Nathoo-Masson log BF01 falls as SSA
+grows, so that route picks H0 exactly when SSA is at most a root; the minimal
+route's cut in SSA is F* * SSR / (n-1).  ``accuracy_nm`` and ``consistency``
+are then means, over the laws of SSB and SSR, of the noncentral CDF at these
+cuts.  The cells, the replication counts, the seed and every bound were fixed
+before the first run.
 """
 
 import itertools
 import math
 
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, special, stats
 
 from rmbayes import SimulationConfig, run_cell
 from rmbayes.anova import _decompose
@@ -30,16 +37,72 @@ KS_ALPHA = 0.001 / len(CELLS)
 # subject and noise values of the uniform cell with the same (k, n, rho, delta)
 SS_CELLS = list(itertools.product((3, 5), (20, 50), (0.2, 0.8)))
 SS_DELTA = 0.5
+NM_CELLS = [(3, 20, rho, delta) for rho, delta in itertools.product((0.2, 0.8), (0.0, 0.5))]
+NM_REPS = 4000
+CHI2_4_999 = 18.47  # the 0.999 quantile of chi-squared with 4 df
+# where the SSB and SSR integrals stop: each law's mass beyond is 2e-10
+CHI2_TAIL = 1e-10
+
+
+def noncentrality(k: int, n: int, rho: float, delta: float) -> float:
+    alphas = [delta * (j / (k - 1) - 0.5) for j in range(k)]  # mean zero
+    return n * sum(a * a for a in alphas) / (1.0 - rho)
+
+
+def minimal_cut(k: int, n: int) -> float:
+    """F*: the minimal route picks H0 exactly when F is at most this."""
+    df1, df2, n_obs = k - 1, (n - 1) * (k - 1), n * (k - 1)
+    return df2 / df1 * math.expm1(df1 * math.log(n_obs) / n_obs)
 
 
 def exact_law(k: int, n: int, rho: float, delta: float):
     """The law of F and the exact probability that the minimal route picks H0."""
-    df1, df2, n_obs = k - 1, (n - 1) * (k - 1), n * (k - 1)
-    alphas = [delta * (j / (k - 1) - 0.5) for j in range(k)]  # mean zero
-    noncentrality = n * sum(a * a for a in alphas) / (1.0 - rho)
-    law = stats.ncf(df1, df2, noncentrality) if noncentrality else stats.f(df1, df2)
-    threshold = df2 / df1 * math.expm1(df1 * math.log(n_obs) / n_obs)
-    return law, float(law.cdf(threshold))
+    df1, df2, lam = k - 1, (n - 1) * (k - 1), noncentrality(k, n, rho, delta)
+    law = stats.ncf(df1, df2, lam) if lam else stats.f(df1, df2)
+    return law, float(law.cdf(minimal_cut(k, n)))
+
+
+def nathoo_cut(k: int, n: int, ssb: float, ssr: float) -> float:
+    """The SSA where the Nathoo-Masson dBIC10 crosses 0, for fixed SSB and SSR."""
+    def delta_bic10(ssa):
+        return (n * (k - 1) * math.log(ssr / (ssa + ssr))
+                + (k + 2) * math.log(n * (ssb + ssr) / ssb)
+                - 3.0 * math.log(n * (ssa + ssb + ssr) / ssb))
+    # delta_bic10(0) = (k-1) L > 0 with L = ln(n(SSB+SSR)/SSB), and delta_bic10(ssa)
+    # <= (k-1) L - n(k-1) ln(1 + ssa/SSR), which is 0 at the upper end
+    upper = ssr * math.expm1(math.log(n * (ssb + ssr) / ssb) / n)
+    return optimize.brentq(delta_bic10, 0.0, upper)
+
+
+def chi2_density(df: int):
+    log_norm = math.lgamma(df / 2) + df / 2 * math.log(2.0)
+    return lambda x: math.exp((df / 2 - 1) * math.log(x) - x / 2 - log_norm)
+
+
+def exact_nathoo(k: int, n: int, rho: float, delta: float) -> dict[str, float]:
+    """The exact ``accuracy_nm`` and ``consistency`` of a cell.  The sums of squares
+    are taken in units of 1 - rho, a common scale that neither route's choice
+    depends on: SSA ~ chi2'(k-1, lambda), SSR = v ~ chi2((n-1)(k-1)) and
+    SSB = u (1-rho+k*rho)/(1-rho) with u ~ chi2(n-1)."""
+    df_b, df_r, lam = n - 1, (n - 1) * (k - 1), noncentrality(k, n, rho, delta)
+    ssb_scale = (1.0 - rho + k * rho) / (1.0 - rho)
+    density_b, density_r = chi2_density(df_b), chi2_density(df_r)
+    law_b, law_r = stats.chi2(df_b), stats.chi2(df_r)
+    f_star = minimal_cut(k, n)
+
+    def mean(of_cdfs):
+        def integrand(v, u):
+            cdf_nm = special.chndtr(nathoo_cut(k, n, ssb_scale * u, v), k - 1, lam)
+            cdf_min = special.chndtr(f_star * v / (n - 1), k - 1, lam)
+            return density_b(u) * density_r(v) * of_cdfs(cdf_nm, cdf_min)
+        return integrate.dblquad(integrand, law_b.ppf(CHI2_TAIL), law_b.isf(CHI2_TAIL),
+                                 law_r.ppf(CHI2_TAIL), law_r.isf(CHI2_TAIL),
+                                 epsabs=1e-6, epsrel=0.0)[0]
+
+    p_h0 = mean(lambda cdf_nm, cdf_min: cdf_nm)
+    # the routes agree below both cuts and above both: 1 - |difference of the CDFs|
+    consistency = mean(lambda cdf_nm, cdf_min: 1.0 - abs(cdf_nm - cdf_min))
+    return {"accuracy_nm": p_h0 if delta == 0.0 else 1.0 - p_h0, "consistency": consistency}
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +147,23 @@ def test_ssb_and_ssr_follow_their_scaled_chi_squared_laws():
             [value / ssr_scale for value in ssr], stats.chi2((n - 1) * (k - 1)).cdf).pvalue
     alpha = 0.001 / len(p_values)
     assert {test: p for test, p in p_values.items() if not p > alpha} == {}
+
+
+@pytest.fixture(scope="module")
+def nathoo_cells():
+    results = []
+    for k, n, rho, delta in NM_CELLS:
+        config = SimulationConfig(n=n, rho=rho, delta=delta, k=k, reps=NM_REPS,
+                                  master_seed=MASTER_SEED, spacing="equal")
+        results.append((run_cell(config), exact_nathoo(k, n, rho, delta)))
+    return results
+
+
+@pytest.mark.parametrize("field", ["accuracy_nm", "consistency"])
+def test_nathoo_accuracy_and_consistency_match_their_exact_values(nathoo_cells, field):
+    z_squared = []
+    for result, exact in nathoo_cells:
+        expected = exact[field]
+        z_squared.append((getattr(result, field) - expected) ** 2
+                         / (expected * (1.0 - expected) / NM_REPS))
+    assert sum(z_squared) <= CHI2_4_999
