@@ -1,12 +1,11 @@
-"""The parts of a text that ``rmbayes parse`` cuts, rendered in forked children.
-
-Imported only when a text is cut, so a short text does not compile this module.
+"""The parts of a text that ``rmbayes parse`` renders, each after the first in a
+forked child. A text of one part, the usual case, is rendered in the process and
+forks nothing.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 
 
 def _fork_part(render, *args) -> tuple[int, int] | None:
@@ -68,6 +67,7 @@ def in_parts(batches, bounds: list[int], sep: str):
             yield from batches(bounds[part], bounds[part + 1]) if rendered is None else rendered
     finally:  # on any way out: a closed pipe, a full disk, an interrupt, an error
         for pid, fd in children.values():
-            os.kill(pid, signal.SIGKILL)
+            from signal import SIGKILL  # here, as a text of one part forks no child
+            os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)

@@ -58,6 +58,13 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _fmt_bf(value: float, saturated: bool) -> str:
+    """A Bayes factor by ``_fmt``, or ``1.798e+308 (saturated)`` if it was clamped."""
+    if saturated and value == sys.float_info.max:
+        return f"{value:.3e} (saturated)"
+    return _fmt(value)
+
+
 def _report_json(command: str, params: dict, payload: dict, seed: int | None = None) -> str:
     """A report-v1 document: the command's manifest plus ``payload``."""
     manifest = {
@@ -108,8 +115,8 @@ _METHOD_LABELS = {
 def _render_evidence(result) -> list[str]:
     return [
         f"method      : {_METHOD_LABELS[result.method]}",
-        f"BF01        : {_fmt(result.bf01)}",
-        f"BF10        : {_fmt(result.bf10)}",
+        f"BF01        : {_fmt_bf(result.bf01, result.saturated)}",
+        f"BF10        : {_fmt_bf(result.bf10, result.saturated)}",
         f"dBIC10      : {_fmt(result.delta_bic10)}",
         f"p(H0 | y)   : {_fmt(result.posterior_h0)}",
         f"p(H1 | y)   : {_fmt(result.posterior_h1)}   (prior p(H0) = {result.prior_h0:g})",
@@ -456,9 +463,9 @@ def _report_line(stat, design, evidence, error) -> str:
     if evidence is not None:
         bound = ">=" if f_is_upper_bound else "="
         note = "  (lower bound: F reported as an upper bound)" if f_is_upper_bound else ""
-        _, bf01, _, _, posterior_h0, _, _, _ = evidence
-        return (f"{left:<28} n={design[0]}  k={design[1]}  BF01 {bound} {_fmt(bf01)}  "
-                f"p(H0|y) = {_fmt(posterior_h0)}{note}")
+        _, bf01, _, _, posterior_h0, _, _, saturated = evidence
+        return (f"{left:<28} n={design[0]}  k={design[1]}  BF01 {bound} "
+                f"{_fmt_bf(bf01, saturated)}  p(H0|y) = {_fmt(posterior_h0)}{note}")
     if error is not None:
         return f"{left:<28} not inferable: {error}"
     return left
@@ -590,13 +597,9 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
                 rows.append(render(stat, design, evidence, error))
             yield sep.join(rows)
 
-    parts = _part_count(len(text))
-    if parts > 1:
-        from ._parts import in_parts
+    from ._parts import in_parts
 
-        rendered = in_parts(batches, _report_bounds(text, parts), sep)
-    else:
-        rendered = batches(0, len(text))
+    rendered = in_parts(batches, _report_bounds(text, _part_count(len(text))), sep)
     echoed = False
     with closing(rendered):  # a cut text's children are killed and reaped on any way out
         for batch in rendered:  # echoed apart, so that a child's whole part is not copied

@@ -89,8 +89,11 @@ def reference_parse_text(text, assume_rm=True, prior_h0=0.5):
             else:
                 bound, note = ((">=", "  (lower bound: F reported as an upper bound)")
                                if stat.f_is_upper_bound else ("=", ""))
+                bf01 = (f"{result.bf01:.3e} (saturated)"
+                        if result.saturated and result.bf01 == sys.float_info.max
+                        else f"{result.bf01:.3f}")
                 line = (f"{line:<28} n={design.n}  k={design.k}  BF01 {bound} "
-                        f"{result.bf01:.3f}  p(H0|y) = {result.posterior_h0:.3f}{note}")
+                        f"{bf01}  p(H0|y) = {result.posterior_h0:.3f}{note}")
         lines.append(line)
     return "".join(f"{line}\n" for line in lines) if lines else "no F reports found\n"
 
@@ -174,6 +177,19 @@ class TestBf:
                                  "--prior-h0", "0.25", "--json"])
         assert json.loads(result.output)["evidence"]["posterior_h0"] == pytest.approx(0.448, abs=0.001)
 
+    def test_saturated_bf10_is_marked(self, runner):
+        # BF10 is clamped to the largest float: once printed as its 309 digits
+        result = invoke(runner, ["bf", "--f", "9e307", "--n", "10", "--k", "3"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "F = 9e+307, n = 10, k = 3\n"
+            "method      : minimal BIC (repeated measures)\n"
+            "BF01        : 0.000\n"
+            "BF10        : 1.798e+308 (saturated)\n"
+            "dBIC10      : -14131.881\n"
+            "p(H0 | y)   : 0.000\n"
+            "p(H1 | y)   : 1.000   (prior p(H0) = 0.5)\n")
+
     @pytest.mark.parametrize("args", [
         ["bf", "--f", "-1", "--n", "23", "--k", "2"],
         ["bf", "--f", "1.0", "--n", "1", "--k", "2"],
@@ -225,6 +241,19 @@ class TestBfSs:
             "p(H0 | y)   : 0.817\n"
             "p(H1 | y)   : 0.183   (prior p(H0) = 0.5)\n"
             "note: the treatment sum of squares is 0; the treatment explains nothing\n")
+
+    def test_saturated_bf10_is_marked(self, runner):
+        result = invoke(runner, ["bf-ss", "--sst", "1000", "--ssa", "998.99", "--ssb", "1",
+                                 "--n", "100", "--k", "3"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "SST = 1000, SSA = 998.99, SSB = 1, n = 100, k = 3\n"
+            "method      : Nathoo-Masson (sums of squares)\n"
+            "BF01        : 0.000\n"
+            "BF10        : 1.798e+308 (saturated)\n"
+            "dBIC10      : -2313.848\n"
+            "p(H0 | y)   : 0.000\n"
+            "p(H1 | y)   : 1.000   (prior p(H0) = 0.5)\n")
 
     def test_shared_evidence_schema_across_subcommands(self, runner):
         via_f = json.loads(invoke(runner, ["bf", "--f", "1.336", "--n", "23",
@@ -285,6 +314,20 @@ def test_f_above_float_max_over_df1_is_listed_with_its_design(runner):
     result = invoke(runner, ["parse"], input="F(2, 18) = 1e308")
     assert result.exit_code == 0
     assert result.output == "F(2, 18) = 1e+308            n=10  k=3  BF01 = 0.000  p(H0|y) = 0.000\n"
+
+
+def test_saturated_bf01_is_marked_in_the_parse_listing(runner):
+    # log BF01 is about 716, past ln(float max); the upper bound keeps its ">="
+    result = invoke(runner, ["parse", "-"], input="F(200, 2000) = 0.5 and F(200, 2000) < 0.5")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "F(200, 2000) = 0.5           n=11  k=201  BF01 = 1.798e+308 (saturated)  "
+        "p(H0|y) = 1.000\n"
+        "F(200, 2000) < 0.5           n=11  k=201  BF01 >= 1.798e+308 (saturated)  "
+        "p(H0|y) = 1.000  (lower bound: F reported as an upper bound)\n")
+    evidence = json.loads(invoke(runner, ["parse", "-", "--json"],
+                                 input="F(200, 2000) = 0.5").stdout)["reports"][0]["evidence"]
+    assert evidence["bf01"] == sys.float_info.max and evidence["saturated"]
 
 
 class TestAnova:
@@ -1003,9 +1046,10 @@ class TestParseSplit:
     forked child, writes the bytes of a run on one part and leaves no child behind."""
 
     @staticmethod
-    def split(monkeypatch, cpus):
-        """Cut every text into as many parts as ``cpus``; the pids forked, as a list."""
-        monkeypatch.setattr(cli, "_PART_CHARS", 1)
+    def split(monkeypatch, cpus, part_chars=1):
+        """Cut every text of ``part_chars`` or more characters into as many parts as
+        ``cpus``; the pids forked, as a list."""
+        monkeypatch.setattr(cli, "_PART_CHARS", part_chars)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pids, fork = [], os.fork
 
@@ -1052,6 +1096,22 @@ class TestParseSplit:
         assert len(pids) == cpus - 1
         assert whole.exit_code == parts.exit_code == 0
         assert without_timestamp(parts.stdout) == without_timestamp(whole.stdout)
+        self.assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("options", [[], ["--json"]])
+    @pytest.mark.parametrize("part_chars,cpus", [(cli._PART_CHARS, 2), (1, 1)],
+                             ids=["short-text", "one-cpu"])
+    def test_a_text_of_one_part_forks_no_child(self, runner, monkeypatch, tmp_path, part_chars,
+                                               cpus, options):
+        path = tmp_path / "text.txt"
+        path.write_text(_SPLIT_TEXT, encoding="utf-8")
+        args = ["parse", str(path), *options]
+        whole = invoke(runner, args)
+        pids, fds = self.split(monkeypatch, cpus, part_chars), self.open_fds()
+        one = invoke(runner, args)
+        assert pids == []
+        assert whole.exit_code == one.exit_code == 0
+        assert without_timestamp(one.stdout) == without_timestamp(whole.stdout)
         self.assert_nothing_left(fds)
 
     def test_the_part_of_a_failed_child_is_rendered_by_the_parent(self, runner, monkeypatch,

@@ -14,7 +14,13 @@ SSB and SSR.  For fixed SSB and SSR the Nathoo-Masson log BF01 falls as SSA
 grows, so that route picks H0 exactly when SSA is at most a root; the minimal
 route's cut in SSA is F* * SSR / (n-1).  ``accuracy_nm`` and ``consistency``
 are then means, over the laws of SSB and SSR, of the noncentral CDF at these
-cuts.  The cells, the replication counts, the seed and every bound were fixed
+cuts.
+
+With ``spacing="uniform"`` and k = 3 each replication puts its interior mean at
+delta*u, with u uniform on [0, 1], so
+lambda(u) = n delta^2 (2/3)(1 - u + u^2) / (1 - rho)
+and the minimal route's exact P(H0) is the mean over u of the noncentral F CDF
+at F*.  The cells, the replication counts, the seed and every bound were fixed
 before the first run.
 """
 
@@ -42,6 +48,10 @@ NM_REPS = 4000
 CHI2_4_999 = 18.47  # the 0.999 quantile of chi-squared with 4 df
 # where the SSB and SSR integrals stop: each law's mass beyond is 2e-10
 CHI2_TAIL = 1e-10
+# the paper's default grid, k = 3 with uniform spacing
+UNIFORM_CELLS = list(itertools.product((20, 50, 80), (0.2, 0.8), (0.0, 0.2, 0.5)))
+UNIFORM_REPS = 1000
+CHI2_18_999 = 42.31  # the 0.999 quantile of chi-squared with 18 df
 
 
 def noncentrality(k: int, n: int, rho: float, delta: float) -> float:
@@ -167,3 +177,26 @@ def test_nathoo_accuracy_and_consistency_match_their_exact_values(nathoo_cells, 
         z_squared.append((getattr(result, field) - expected) ** 2
                          / (expected * (1.0 - expected) / NM_REPS))
     assert sum(z_squared) <= CHI2_4_999
+
+
+def exact_uniform_accuracy(n: int, rho: float, delta: float) -> float:
+    """The exact ``accuracy_min`` of a k = 3 cell with uniform spacing."""
+    df1, df2, f_star = 2, 2 * (n - 1), minimal_cut(3, n)
+    if delta == 0.0:
+        return float(special.fdtr(df1, df2, f_star))
+
+    def cdf_at(u):
+        lam = n * delta ** 2 * (2.0 / 3.0) * (1.0 - u + u * u) / (1.0 - rho)
+        return special.ncfdtr(df1, df2, lam, f_star)
+    return 1.0 - integrate.quad(cdf_at, 0.0, 1.0)[0]
+
+
+def test_minimal_accuracy_under_uniform_spacing_matches_its_exact_value():
+    z_squared = []
+    for n, rho, delta in UNIFORM_CELLS:
+        config = SimulationConfig(n=n, rho=rho, delta=delta, k=3, reps=UNIFORM_REPS,
+                                  master_seed=MASTER_SEED, spacing="uniform")
+        expected = exact_uniform_accuracy(n, rho, delta)
+        z_squared.append((run_cell(config).accuracy_min - expected) ** 2
+                         / (expected * (1.0 - expected) / UNIFORM_REPS))
+    assert sum(z_squared) <= CHI2_18_999
