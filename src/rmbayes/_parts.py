@@ -1,23 +1,27 @@
-"""The parts of a text that ``rmbayes parse`` renders, each after the first in a
-forked child. A text of one part, the usual case, is rendered in the process and
-forks nothing.
+"""The one fork map: the batches of a range cut into parts, each after the first
+rendered in a forked child, for ``parse``'s text and ``run_grid``'s cells. A range
+of one part, the usual case, is rendered in the process and forks nothing.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 
 def _fork_part(render, *args) -> tuple[int, int] | None:
-    """A forked child that sends the bytes ``render(*args)`` up a pipe and exits:
-    its pid and the pipe's read end, or None if no pipe or process could be made."""
+    """A forked child that sends the bytes ``render(*args)`` up a pipe and exits: its
+    pid and the pipe's read end, or None if forking is unsafe or failed."""
+    # fork, not spawn, and only with no other Python thread running: the child runs
+    # pure Python and numpy's own loops, while a spawned child would pay a fresh
+    # interpreter with the CLI's imports, ~0.1 s of a ~0.45 s run, and need its input
+    threading = sys.modules.get("threading")  # a thread can only run if this is loaded
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return None
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
-    # fork, not spawn: no other Python thread runs here (cli._part_count) and the
-    # child runs pure Python only, while a spawned child would pay a fresh interpreter
-    # with the CLI's imports, ~0.1 s of a ~0.45 s run, and need the text sent to it
     try:
         pid = os.fork()
     except OSError:
@@ -37,15 +41,17 @@ def _fork_part(render, *args) -> tuple[int, int] | None:
     return pid, read_fd
 
 
-def in_parts(batches, bounds: list[int], sep: str):
-    """The batches of each part of the text between ``bounds``, in order, where
-    ``batches(start, end)`` renders a part. The first part is rendered here, batch
-    by batch, while a forked child renders each later one whole, joined by ``sep``;
-    a part whose child fails is rendered here too, so its error, if real, is raised
+def in_parts(batches, bounds: list[int]):
+    """The batches of each part of the range between ``bounds``, in order, where
+    ``batches(start, end)`` yields a part's picklable batches. A forked child renders
+    each part after the first whole, as one pickled list; the first part, and any whose
+    child failed or was not forked, is rendered here, so its error, if real, is raised
     here. Close the generator on every way out: that kills and reaps the children."""
-    def whole(start: int, end: int) -> bytes:  # encoded a batch at a time: one copy less
-        return sep.encode().join(batch.encode() for batch in batches(start, end))
+    def whole(start: int, end: int) -> bytes:
+        return pickle.dumps(list(batches(start, end)))
 
+    if len(bounds) > 2:  # here, as a range of one part forks no child
+        import pickle
     children = {}  # part -> (pid, read fd) of its child, until reaped
     try:
         for part in range(1, len(bounds) - 1):
@@ -62,12 +68,12 @@ def in_parts(batches, bounds: list[int], sep: str):
                 del children[part]
                 os.close(fd)
                 if status == 0:
-                    rendered = [data.decode()] if data else []
-                del data  # keep the decoded copy only: this is the parent's peak
+                    rendered = pickle.loads(data)
+                del data  # keep the loaded copy only: this is the parent's peak
             yield from batches(bounds[part], bounds[part + 1]) if rendered is None else rendered
     finally:  # on any way out: a closed pipe, a full disk, an interrupt, an error
         for pid, fd in children.values():
-            from signal import SIGKILL  # here, as a text of one part forks no child
+            from signal import SIGKILL  # here, as a range of one part forks no child
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)

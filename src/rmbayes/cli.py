@@ -59,10 +59,10 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_bf(value: float, saturated: bool) -> str:
-    """A Bayes factor by ``_fmt``, or ``1.798e+308 (saturated)`` if it was clamped."""
-    if saturated and value == sys.float_info.max:
-        return f"{value:.3e} (saturated)"
-    return _fmt(value)
+    """A Bayes factor by ``_fmt`` at 0, which underflowed, and from 0.001 up to 1e6,
+    else by ``.3e``, as in ``1.798e+308 (saturated)``, printed if it was clamped."""
+    text = _fmt(value) if value == 0 or 0.001 <= value < 1e6 else f"{value:.3e}"
+    return f"{text} (saturated)" if saturated and value == sys.float_info.max else text
 
 
 def _report_json(command: str, params: dict, payload: dict, seed: int | None = None) -> str:
@@ -425,7 +425,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
 @click.option("--emit-per-rep", is_flag=True,
               help="Also write per_rep.csv with one row per replication.")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker processes for cells (results are identical at any count).")
+              help="Processes for cells, this one and forked children (same results at any count).")
 def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
                  seed: int, spacing: str, out_dir: str, emit_per_rep: bool,
                  workers: int) -> None:
@@ -534,11 +534,9 @@ _PART_CHARS = 1 << 20  # the least text worth a forked part of `parse`
 
 def _part_count(chars: int) -> int:
     """How many parts ``parse`` cuts a text of ``chars`` characters into: one per
-    usable CPU, of at least ``_PART_CHARS`` each, and 1 where forking is unsafe."""
+    usable CPU, of at least ``_PART_CHARS`` each."""
     parts = 1 + chars // _PART_CHARS
-    threading = sys.modules.get("threading")  # a thread can only run if this is loaded
-    if (parts == 1 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or (threading is not None and threading.active_count() > 1)):
+    if parts == 1 or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(parts, len(os.sched_getaffinity(0)))
 
@@ -599,7 +597,7 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
 
     from ._parts import in_parts
 
-    rendered = in_parts(batches, _report_bounds(text, _part_count(len(text))), sep)
+    rendered = in_parts(batches, _report_bounds(text, _part_count(len(text))))
     echoed = False
     with closing(rendered):  # a cut text's children are killed and reaped on any way out
         for batch in rendered:  # echoed apart, so that a child's whole part is not copied

@@ -57,11 +57,13 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from contextlib import closing
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
+from ._parts import in_parts
 from .anova import _decompose
 from .bayes import DesignSpec, _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
 from .errors import DegenerateResidualError, DomainError, as_int, real
@@ -537,14 +539,14 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
              workers: int = 1) -> GridReport:
     """Run every (delta, rho, n) cell of the grid.
 
-    Cells are independent; with ``workers > 1`` they run on a process pool
-    of at most one process per cell, and the substream seeding guarantees
-    the report is identical to a sequential run.
+    Cells are independent; they run in ``min(workers, cells)`` parts, the
+    first here and each later one in a forked child (``_parts.in_parts``), and
+    the substream seeding guarantees the report is identical to a sequential run.
     """
     if not n_values or not rho_values or not delta_values:
         raise DomainError("n_values, rho_values and delta_values must all be nonempty")
-    pool_size = as_int(workers)
-    if pool_size is None or pool_size < 1:
+    parts = as_int(workers)
+    if parts is None or parts < 1:
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     configs = [
         SimulationConfig(n=n, rho=rho, delta=delta, k=k, reps=reps,
@@ -557,14 +559,10 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
             raise DomainError(f"two grid cells share the id {config.cell_id}: a value is "
                               "repeated, or two agree to the id's 6 significant digits")
         seen.add(config.cell_id)
-    pool_size = min(pool_size, len(configs))
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            cells = tuple(pool.map(run_cell, configs))
-    else:
-        cells = tuple(map(run_cell, configs))
+    parts = min(parts, len(configs))
+    with closing(in_parts(lambda start, end: map(run_cell, configs[start:end]),
+                          [len(configs) * part // parts for part in range(parts + 1)])) as results:
+        cells = tuple(results)
     return GridReport(
         n_values=tuple(n_values),
         rho_values=tuple(rho_values),

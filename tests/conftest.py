@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -196,6 +197,41 @@ def table1_matrix() -> np.ndarray:
     """23x2 dataset whose decomposition reproduces SSA=739, SSB=103984,
     SSR=12176 (SST=116399)."""
     return build_two_condition_matrix(739.0, 103984.0, 12176.0, n=23)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children ``os.fork`` makes from now on, as a list."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def assert_nothing_left(fds: set[str]) -> None:
+    """No child is left to reap and only the fds in ``fds`` are open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@pytest.fixture()
+def running_thread():
+    """A second Python thread, blocked until the test ends."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    yield thread
+    release.set()
+    thread.join()
 
 
 def load_report_schema() -> dict:

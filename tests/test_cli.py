@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -27,8 +28,8 @@ from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_mini
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
 
-from conftest import (SRC, assert_schema_valid, build_two_condition_matrix,
-                      decimal_log_bf01_between)
+from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
+                      count_forks, decimal_log_bf01_between, open_fds)
 
 
 @pytest.fixture()
@@ -89,9 +90,11 @@ def reference_parse_text(text, assume_rm=True, prior_h0=0.5):
             else:
                 bound, note = ((">=", "  (lower bound: F reported as an upper bound)")
                                if stat.f_is_upper_bound else ("=", ""))
-                bf01 = (f"{result.bf01:.3e} (saturated)"
-                        if result.saturated and result.bf01 == sys.float_info.max
-                        else f"{result.bf01:.3f}")
+                # 3 decimals at 0 and from 0.001 up to 1e6, 4 significant digits elsewhere
+                bf01 = (f"{result.bf01:.3f}" if result.bf01 == 0 or 0.001 <= result.bf01 < 1e6
+                        else f"{result.bf01:.3e}")
+                if result.saturated and result.bf01 == sys.float_info.max:
+                    bf01 += " (saturated)"
                 line = (f"{line:<28} n={design.n}  k={design.k}  BF01 {bound} "
                         f"{bf01}  p(H0|y) = {result.posterior_h0:.3f}{note}")
         lines.append(line)
@@ -328,6 +331,32 @@ def test_saturated_bf01_is_marked_in_the_parse_listing(runner):
     evidence = json.loads(invoke(runner, ["parse", "-", "--json"],
                                  input="F(200, 2000) = 0.5").stdout)["reports"][0]["evidence"]
     assert evidence["bf01"] == sys.float_info.max and evidence["saturated"]
+
+
+@pytest.mark.parametrize("value,saturated,text", [
+    (0.0, False, "0.000"),
+    (math.nextafter(0.001, 0), False, "1.000e-03"),
+    (0.001, False, "0.001"),
+    (2.435, False, "2.435"),
+    (math.nextafter(1e6, 0), False, "1000000.000"),
+    (1e6, False, "1.000e+06"),
+    (sys.float_info.max, False, "1.798e+308"),
+    (sys.float_info.max, True, "1.798e+308 (saturated)"),
+])
+def test_bf_text_has_3_decimals_from_0_001_up_to_1e6(value, saturated, text):
+    assert cli._fmt_bf(value, saturated) == text
+
+
+def test_bf_text_outside_the_decimal_range_keeps_its_digits(runner):
+    # once 224 digits in parse's listing, and BF01 : 0.000 in bf's
+    result = invoke(runner, ["parse", "-"], input="F(150, 1500) = 0.5\n")
+    assert result.stdout == ("F(150, 1500) = 0.5           n=11  k=151  BF01 = 6.763e+223  "
+                             "p(H0|y) = 1.000\n")
+    result = invoke(runner, ["bf", "--f", "100", "--n", "20", "--k", "3"])
+    assert "BF01        : 4.637e-15\nBF10        : 2.157e+14\n" in result.stdout
+    evidence = json.loads(invoke(runner, ["bf", "--f", "100", "--n", "20", "--k", "3",
+                                          "--json"]).stdout)["evidence"]
+    assert f"{evidence['bf01']:.3e}" == "4.637e-15"
 
 
 class TestAnova:
@@ -1051,25 +1080,10 @@ class TestParseSplit:
         ``cpus``; the pids forked, as a list."""
         monkeypatch.setattr(cli, "_PART_CHARS", part_chars)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        pids, fork = [], os.fork
+        return count_forks(monkeypatch)
 
-        def counted_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return pids
-
-    @staticmethod
-    def open_fds():
-        return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
-
-    def assert_nothing_left(self, fds):
-        """No child is left to reap and only the fds in ``fds`` are open."""
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert self.open_fds() == fds
+    open_fds = staticmethod(open_fds)
+    assert_nothing_left = staticmethod(assert_nothing_left)
 
     def test_the_text_is_cut_where_it_should_be(self):
         text = _SPLIT_TEXT.replace("\u2212", "-")
@@ -1112,6 +1126,20 @@ class TestParseSplit:
         assert pids == []
         assert whole.exit_code == one.exit_code == 0
         assert without_timestamp(one.stdout) == without_timestamp(whole.stdout)
+        self.assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("options", [[], ["--json"]])
+    def test_a_running_thread_forks_no_child(self, runner, monkeypatch, tmp_path,
+                                             running_thread, options):
+        path = tmp_path / "text.txt"
+        path.write_text(_SPLIT_TEXT, encoding="utf-8")
+        args = ["parse", str(path), *options]
+        whole = invoke(runner, args)
+        pids, fds = self.split(monkeypatch, 3), self.open_fds()
+        parts = invoke(runner, args)
+        assert pids == []
+        assert whole.exit_code == parts.exit_code == 0
+        assert without_timestamp(parts.stdout) == without_timestamp(whole.stdout)
         self.assert_nothing_left(fds)
 
     def test_the_part_of_a_failed_child_is_rendered_by_the_parent(self, runner, monkeypatch,

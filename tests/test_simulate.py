@@ -1,9 +1,9 @@
 """Data generator, substreams, cell aggregation and grid determinism."""
 
-import concurrent.futures
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import astuple, fields, replace
@@ -39,7 +39,8 @@ from rmbayes.simulate import (
     _splitmix64,
 )
 
-from conftest import reference_dataset, reference_make_profile
+from conftest import (assert_nothing_left, count_forks, open_fds, reference_dataset,
+                      reference_make_profile)
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
@@ -499,30 +500,49 @@ class TestRunGrid:
         with pytest.raises(DomainError, match="workers must be an integer >= 1"):
             run_grid((20,), (0.2,), (0.0,), reps=2, workers=workers)
 
-    @pytest.mark.parametrize("workers,n_values,pool_size", [
-        (64, (20, 30), 2), (np.int64(3), (20, 30, 40, 50), 3), (2, (20,), None),
-        (1, (20, 30), None)])
-    def test_pool_capped_at_cell_count(self, monkeypatch, workers, n_values, pool_size):
-        # a fake pool that records its size and maps in this process, so no
-        # worker process is started
-        sizes = []
-
-        class SequentialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SequentialPool)
+    @pytest.mark.parametrize("workers,n_values,children", [
+        (64, (20, 30), 1), (np.int64(3), (20, 30, 40, 50), 2), (2, (20,), 0),
+        (1, (20, 30), 0)])
+    def test_one_child_forked_per_part_after_the_first(self, monkeypatch, workers, n_values,
+                                                        children):
+        # this process is one of the workers, and a part has at least one cell
         kwargs = dict(n_values=n_values, rho_values=(0.2,), delta_values=(0.5,), reps=3,
                       master_seed=5)
-        report = run_grid(workers=workers, **kwargs)
-        assert sizes == ([] if pool_size is None else [pool_size])
-        assert report == run_grid(workers=1, **kwargs)
+        sequential = run_grid(workers=1, **kwargs)
+        pids = count_forks(monkeypatch)
+        assert run_grid(workers=workers, **kwargs) == sequential
+        assert len(pids) == children
+
+    def test_the_cells_of_a_killed_child_run_here(self, monkeypatch):
+        kwargs = dict(n_values=(20, 30, 40), rho_values=(0.2,), delta_values=(0.5,), reps=3,
+                      master_seed=5)
+        sequential = run_grid(workers=1, **kwargs)
+        parent, run = os.getpid(), sim.run_cell
+
+        def killed_in_children(config):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(config)
+        monkeypatch.setattr(sim, "run_cell", killed_in_children)
+        fds, pids = open_fds(), count_forks(monkeypatch)
+        assert run_grid(workers=3, **kwargs) == sequential
+        assert len(pids) == 2
+        assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("n_values", [(20, 2 ** 50), (2 ** 50, 20)],
+                             ids=["in-the-child", "in-the-parent"])
+    def test_a_failing_cell_raises_here_and_leaves_no_child(self, monkeypatch, n_values):
+        fds, pids = open_fds(), count_forks(monkeypatch)
+        with pytest.raises(DomainError, match=f"cell n{2 ** 50}_k3_rho0.2_delta0: its n-by-k "
+                                              "design does not fit in memory"):
+            run_grid(n_values, (0.2,), (0.0,), reps=1, workers=2)
+        assert len(pids) == 1
+        assert_nothing_left(fds)
+
+    def test_a_running_thread_forks_no_child(self, monkeypatch, running_thread):
+        kwargs = dict(n_values=(20, 30), rho_values=(0.2,), delta_values=(0.5,), reps=3,
+                      master_seed=5)
+        sequential = run_grid(workers=1, **kwargs)
+        pids = count_forks(monkeypatch)
+        assert run_grid(workers=2, **kwargs) == sequential
+        assert pids == []
