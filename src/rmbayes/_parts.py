@@ -41,24 +41,26 @@ def _fork_part(render, *args) -> tuple[int, int] | None:
     return pid, read_fd
 
 
-def in_parts(batches, bounds: list[int]):
-    """The batches of each part of the range between ``bounds``, in order, where
-    ``batches(start, end)`` yields a part's picklable batches. A forked child renders
+def in_parts(batches, size: int, parts: int):
+    """The batches of ``range(size)`` cut evenly into ``min(parts, size)`` parts, in order,
+    where ``batches(start, end)`` yields a part's picklable batches. A forked child renders
     each part after the first whole, as one pickled list; the first part, and any whose
     child failed or was not forked, is rendered here, so its error, if real, is raised
     here. Close the generator on every way out: that kills and reaps the children."""
     def whole(start: int, end: int) -> bytes:
         return pickle.dumps(list(batches(start, end)))
 
-    if len(bounds) > 2:  # here, as a range of one part forks no child
+    parts = max(1, min(parts, size))
+    bounds = [size * part // parts for part in range(parts + 1)]
+    if parts > 1:  # here, as a range of one part forks no child
         import pickle
     children = {}  # part -> (pid, read fd) of its child, until reaped
     try:
-        for part in range(1, len(bounds) - 1):
+        for part in range(1, parts):
             child = _fork_part(whole, bounds[part], bounds[part + 1])
             if child is not None:
                 children[part] = child
-        for part in range(len(bounds) - 1):
+        for part in range(parts):
             rendered = None
             if part in children:
                 pid, fd = children[part]

@@ -21,30 +21,14 @@ _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # a report from its "(" on: re finds a leading literal far faster than the class
 # [Ff], so parse_reports checks the "F" and the whitespace before the "(" itself.
 # A match holds no F and ends in a digit or ".", so an anchored match without its
-# F can neither hide a report nor start inside one.
+# F can neither hide a report nor start inside one. Its "(" is its first character
+# and its only one, so no match holds the "(" of another: _scan cuts on that.
 _F_REPORT = re.compile(
     rf"\(\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\)\s*([=<])\s*({_NUMBER})"
     rf"(?:\s*,\s*[pP]\s*([=<])\s*({_NUMBER}))?"
 )
 # after the value that ends a match: an exponent or decimal comma the pattern left unread
 _HALF_READ = re.compile(r"[eE]\S?\d|,\d")
-
-
-def _report_bounds(text: str, parts: int) -> list[int]:
-    """``parts`` + 1 offsets that cut ``text`` into contiguous parts whose ``_scan``
-    results, joined, are those of the whole text. Each inner cut is the first
-    character at or after its nominal point ``len(text)*i//parts`` that no match
-    can hold: no match crosses it, an end there shortens none, and, being neither
-    whitespace nor in "eE,", it changes no look-back or ``_HALF_READ``, which read
-    the whole text anyway."""
-    bounds = [0]
-    for part in range(1, parts):
-        # a character no match of _F_REPORT can hold; compiled on the first cut only,
-        # as re caches it, so a text read whole does not pay for it
-        no_report = re.compile(r"[^\d\s.eE+\-(),=<pP]")
-        cut = no_report.search(text, max(bounds[-1], len(text) * part // parts))
-        bounds.append(cut.start() if cut else len(text))
-    return bounds + [len(text)]
 
 
 @dataclass(frozen=True)
@@ -79,9 +63,12 @@ def parse_reports(text: str) -> list[ReportedStat]:
 
 def _scan(text: str, start: int = 0, end: int | None = None) -> list[tuple]:
     """``parse_reports`` of a text whose U+2212 are already "-", as one tuple of
-    ``ReportedStat`` fields per report, for the matches within ``text[start:end]``."""
+    ``ReportedStat`` fields per report, for the reports whose "(" lies in
+    ``text[start:end]``: as a match holds no other "(", the scans of consecutive
+    ranges, joined, are the scan of the whole text, wherever it is cut."""
+    stop = -1 if end is None else text.find("(", end)
     reports = []
-    for match in _F_REPORT.finditer(text, start, len(text) if end is None else end):
+    for match in _F_REPORT.finditer(text, start, len(text) if stop < 0 else stop):
         left = match.start()
         while left and text[left - 1].isspace():  # str.isspace is re's \s
             left -= 1

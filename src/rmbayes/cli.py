@@ -28,7 +28,7 @@ import click
 # module, which finds a wrapper bound here (perfbench's trace points) or else falls
 # through to the package's lazy __getattr__, bound as this module's own
 from . import __getattr__, __version__
-from .apa import _report_bounds, _rm_design, _scan
+from .apa import _rm_design, _scan
 # unused here: perfbench's trace points patch them as rmbayes.cli globals (ROADMAP item 3)
 from .apa import infer_rm_design, parse_reports
 from .bayes import (
@@ -597,7 +597,7 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
 
     from ._parts import in_parts
 
-    rendered = in_parts(batches, _report_bounds(text, _part_count(len(text))))
+    rendered = in_parts(batches, len(text), _part_count(len(text)))
     echoed = False
     with closing(rendered):  # a cut text's children are killed and reaped on any way out
         for batch in rendered:  # echoed apart, so that a child's whole part is not copied

@@ -462,8 +462,10 @@ def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     if len(x) < 2:
         return None
-    xd = x - x.mean()
-    yd = y - y.mean()
+    # each deviation vector scaled, exactly, by a power of two that brings its largest
+    # entry into [0.5, 1): deviations of posteriors near 1e-170 square to 0 unscaled
+    xd, yd = (np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+              for d in (x - x.mean(), y - y.mean()))
     sx = math.sqrt(float(np.einsum("i,i->", xd, xd)))  # einsum: no BLAS, as in anova
     sy = math.sqrt(float(np.einsum("i,i->", yd, yd)))
     if sx == 0.0 or sy == 0.0:
@@ -559,9 +561,8 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
             raise DomainError(f"two grid cells share the id {config.cell_id}: a value is "
                               "repeated, or two agree to the id's 6 significant digits")
         seen.add(config.cell_id)
-    parts = min(parts, len(configs))
     with closing(in_parts(lambda start, end: map(run_cell, configs[start:end]),
-                          [len(configs) * part // parts for part in range(parts + 1)])) as results:
+                          len(configs), parts)) as results:
         cells = tuple(results)
     return GridReport(
         n_values=tuple(n_values),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmbayes import DesignSpec, infer_rm_design, parse_reports, ReportedStat
-from rmbayes.apa import _report_bounds, _scan
+from rmbayes.apa import _F_REPORT, _scan
 from rmbayes.errors import DesignInferenceError, DomainError
 
 from conftest import reference_parse_reports
@@ -184,29 +184,20 @@ class TestParseReports:
 
 
 class TestReportBounds:
-    """``parse`` scans the parts of a text between ``_report_bounds`` apart."""
+    """``parse`` scans the parts of a text apart, each for the reports whose "(" it
+    holds, wherever the text is cut."""
 
     @settings(max_examples=500, deadline=None)
-    @given(_ADVERSARIAL_TEXT, st.integers(min_value=1, max_value=6))
-    def test_parts_scan_as_the_whole_text(self, text, parts):
+    @given(_ADVERSARIAL_TEXT, st.lists(st.fractions(min_value=0, max_value=1), max_size=6))
+    def test_parts_scan_as_the_whole_text(self, text, cuts):
         hyphens = text.replace("\u2212", "-")
-        bounds = _report_bounds(hyphens, parts)
+        bounds = [0, *sorted(int(cut * len(hyphens)) for cut in cuts), len(hyphens)]
         joined = [ReportedStat(*fields) for start, end in zip(bounds, bounds[1:])
                   for fields in _scan(hyphens, start, end)]
         assert joined == reference_parse_reports(text)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_ADVERSARIAL_TEXT, st.text()), st.integers(min_value=1, max_value=6))
-    def test_cuts_rise_and_fall_where_no_report_can_be(self, text, parts):
-        bounds = _report_bounds(text, parts)
-        assert len(bounds) == parts + 1
-        assert (bounds[0], bounds[-1]) == (0, len(text))
-        assert bounds == sorted(bounds)
-        for part, cut in enumerate(bounds[1:-1], start=1):
-            assert cut >= len(text) * part // parts
-            # re's \d is str.isdecimal and its \s str.isspace
-            assert cut == len(text) or not (text[cut].isdecimal() or text[cut].isspace()
-                                             or text[cut] in ".eE+-(),=<pP")
+    def test_a_report_starts_at_its_only_parenthesis(self):
+        assert _F_REPORT.pattern.startswith(r"\(") and _F_REPORT.pattern.count(r"\(") == 1
 
 
 class TestInferDesign:

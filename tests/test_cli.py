@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmbayes import SimulationConfig, run_cell, run_grid
 from rmbayes import cli
-from rmbayes.apa import ReportedStat, _report_bounds, infer_rm_design, parse_reports
+from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
 from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
 from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
@@ -469,6 +469,15 @@ class TestAnova:
         assert result.exit_code == 2
         assert result.stderr == "error: line 3 contains a non-numeric cell\n"
 
+    def test_nul_byte_exit_2_names_its_line(self, runner, tmp_path):
+        # Python 3.10's csv reader raises "line contains NUL", a csv.Error; 3.11 and
+        # later read the NUL into the cell, which is then not numeric
+        path = tmp_path / "nul.csv"
+        path.write_text("a,b\n1,2\n3,4\x00\n5,6\n", encoding="utf-8")
+        result = runner.invoke(main, ["anova", str(path)])
+        assert result.exit_code == 2
+        assert re.match(r"error: line 3\b", result.stderr)
+
     def test_digits_do_not_follow_the_blas_thread_count(self, tmp_path):
         # OpenBLAS would split a dot product of 20 000 values across its threads,
         # and round by its CPU kernel, both fixed when numpy loads: so each run is
@@ -681,6 +690,16 @@ class TestSimulate:
         report = json.loads((tmp_path / "grid_report.json").read_text())
         assert_schema_valid(report)
         assert report["cells"][0]["posterior_correlation"] == -1.0
+
+    def test_tiny_posteriors_correlate_in_table4(self, runner, tmp_path):
+        # at delta=20 the posteriors lie near 1e-170 and still vary; at delta=200 the
+        # Nathoo-Masson ones are all 0.0, so that cell has no correlation
+        invoke(runner, ["simulate", "--n", "80", "--rho", "0.2", "--delta", "20,200",
+                        "--reps", "50", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert (tmp_path / "table4.csv").read_text().splitlines()[1:] == [
+            "20.0,0.2,80,0.9999616182442798", "200.0,0.2,80,"]
+        cells = json.loads((tmp_path / "grid_report.json").read_text())["cells"]
+        assert [cell["posterior_correlation"] for cell in cells] == [0.9999616182442798, None]
 
     @pytest.mark.parametrize("reps", [1, 10])
     def test_tables_match_grid_report_cells(self, runner, tmp_path, reps):
@@ -1092,8 +1111,6 @@ class TestParseSplit:
         assert any(start < nominal[0] < end for start, end in spans)
         assert text[:nominal[3]].rstrip().endswith("F")
         assert text[nominal[3]:].lstrip().startswith("(1, 22)")
-        bounds = _report_bounds(text, 5)
-        assert not any(bounds[2] <= start < bounds[3] for start, _ in spans)
         assert "\u2212" in _SPLIT_TEXT and not parse_reports(_NO_REPORT_TEXT)
 
     @pytest.mark.parametrize("options", [[], ["--json"], ["--no-assume-rm"]])

@@ -361,6 +361,14 @@ class TestRunCell:
         q = result.posterior_quantiles_min
         assert q.minimum == q.q1 == q.median == q.q3 == q.maximum
 
+    def test_tiny_posteriors_still_correlate(self):
+        # posteriors of 1e-176 to 1e-165 vary, but their deviations square to 0 unscaled
+        result = run_cell(config_for(n=80, rho=0.2, delta=20.0, reps=50, master_seed=1))
+        x, y = result.series.posterior_min, result.series.posterior_nm
+        assert 0.0 < x.max() < 1e-160 and 0.0 < y.max() < 1e-160
+        expected = np.corrcoef(np.ldexp(x, 560), np.ldexp(y, 560))[0, 1]
+        assert result.posterior_correlation == pytest.approx(expected, rel=1e-12)
+
     def test_records_consistent_with_aggregates(self):
         config = config_for(n=20, rho=0.8, delta=0.2, reps=120, master_seed=42)
         result = run_cell(config)
