@@ -1,6 +1,7 @@
-"""The one fork map: the batches of a range cut into parts, each after the first
-rendered in a forked child, for ``parse``'s text and ``run_grid``'s cells. A range
-of one part, the usual case, is rendered in the process and forks nothing.
+"""The one fork map, and the one place that decides how many processes run: the
+batches of a range cut into parts, each after the first rendered in a forked child,
+for ``parse``'s text and ``run_grid``'s cells. A range of one part, the usual case,
+is rendered in the process and forks nothing.
 """
 
 from __future__ import annotations
@@ -11,13 +12,7 @@ import sys
 
 def _fork_part(render, *args) -> tuple[int, int] | None:
     """A forked child that sends the bytes ``render(*args)`` up a pipe and exits: its
-    pid and the pipe's read end, or None if forking is unsafe or failed."""
-    # fork, not spawn, and only with no other Python thread running: the child runs
-    # pure Python and numpy's own loops, while a spawned child would pay a fresh
-    # interpreter with the CLI's imports, ~0.1 s of a ~0.45 s run, and need its input
-    threading = sys.modules.get("threading")  # a thread can only run if this is loaded
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return None
+    pid and the pipe's read end, or None if the pipe or the fork failed."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -42,15 +37,23 @@ def _fork_part(render, *args) -> tuple[int, int] | None:
 
 
 def in_parts(batches, size: int, parts: int):
-    """The batches of ``range(size)`` cut evenly into ``min(parts, size)`` parts, in order,
-    where ``batches(start, end)`` yields a part's picklable batches. A forked child renders
-    each part after the first whole, as one pickled list; the first part, and any whose
-    child failed or was not forked, is rendered here, so its error, if real, is raised
-    here. Close the generator on every way out: that kills and reaps the children."""
+    """The batches of ``range(size)`` cut evenly into at most ``parts`` parts, in order,
+    where ``batches(start, end)`` yields a part's picklable batches: at most one part
+    per item and per usable CPU (``os.sched_getaffinity``, else ``os.cpu_count()``),
+    and one alone where forking is unsafe. A forked child renders each part after the
+    first whole, as one pickled list; the first part, and any whose pipe, fork or child
+    failed, is rendered here, so its error, if real, is raised here. Close the
+    generator on every way out: that kills and reaps the children."""
     def whole(start: int, end: int) -> bytes:
         return pickle.dumps(list(batches(start, end)))
 
-    parts = max(1, min(parts, size))
+    # fork, not spawn, and only with no other Python thread running: the child runs
+    # pure Python and numpy's own loops, while a spawned child would pay a fresh
+    # interpreter with the CLI's imports, ~0.1 s of a ~0.45 s run, and need its input
+    threading = sys.modules.get("threading")  # a thread can only run if this is loaded
+    forkable = hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(parts, size, cpus or 1)) if forkable else 1
     bounds = [size * part // parts for part in range(parts + 1)]
     if parts > 1:  # here, as a range of one part forks no child
         import pickle

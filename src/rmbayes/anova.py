@@ -4,7 +4,7 @@ The decomposition splits total variability into a treatment component
 (between condition means), a subject component (between subject means), and
 the residual left over after removing both.  The treatment F statistic and
 its upper-tail p-value are computed with no external statistics dependency;
-the F CDF is evaluated through the regularized incomplete beta function.
+both tails of the F distribution are regularized incomplete beta functions.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def rm_anova(data) -> AnovaTable:
     df_treatment = k - 1
     df_subjects = n - 1
     df_residual = df_treatment * df_subjects
-    p_value = 1.0 - f_cdf(f_stat, df_treatment, df_residual)
+    # the upper tail I_y(df2/2, df1/2) itself: 1 - f_cdf would read 0 below p = 1e-16
+    t = df_treatment * f_stat
+    p_value = _reg_incomplete_beta(0.5 * df_residual, 0.5 * df_treatment,
+                                   df_residual / (t + df_residual), t / (t + df_residual))
 
     return AnovaTable(
         ss_treatment=ss_treatment,
@@ -180,25 +183,25 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     t = d1 * f
     if t == math.inf:  # x or df1 * x beyond the float range: the limit
         return 1.0
-    return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2))
+    return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2), d2 / (t + d2))
 
 
-def _reg_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by Lentz's continued fraction,
-    switching to the symmetric form for x > (a+1)/(a+b+2)."""
+def _reg_incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) by Lentz's continued fraction, switching to
+    1 - I_y(b, a) for x > (a+1)/(a+b+2). The caller passes y = 1 - x as well, each to
+    its own relative precision: the smaller taken as 1 minus the larger loses digits."""
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    # both logarithms from the smaller of x and y, which has its full relative precision
+    ln_x, ln_y = (math.log(x), math.log1p(-x)) if x < y else (math.log1p(-y), math.log(y))
+    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         value = front * _beta_continued_fraction(a, b, x) / a
     else:
-        value = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        value = 1.0 - front * _beta_continued_fraction(b, a, y) / b
     return min(max(value, 0.0), 1.0)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -55,13 +56,14 @@ _SCHEMA_VERSION = 1
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.3f}"
+    """``value`` to 3 decimals, or by ``.3e`` from a magnitude of 1e6 up."""
+    return f"{value:.3e}" if abs(value) >= 1e6 else f"{value:.3f}"
 
 
 def _fmt_bf(value: float, saturated: bool) -> str:
-    """A Bayes factor by ``_fmt`` at 0, which underflowed, and from 0.001 up to 1e6,
-    else by ``.3e``, as in ``1.798e+308 (saturated)``, printed if it was clamped."""
-    text = _fmt(value) if value == 0 or 0.001 <= value < 1e6 else f"{value:.3e}"
+    """A Bayes factor by ``_fmt``, and by ``.3e`` below 0.001 unless it is 0 (underflowed);
+    a clamped one prints as ``1.798e+308 (saturated)``."""
+    text = f"{value:.3e}" if 0 < value < 0.001 else _fmt(value)
     return f"{text} (saturated)" if saturated and value == sys.float_info.max else text
 
 
@@ -425,7 +427,8 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
 @click.option("--emit-per-rep", is_flag=True,
               help="Also write per_rep.csv with one row per replication.")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Processes for cells, this one and forked children (same results at any count).")
+              help="Processes for cells, this one and forked children, at most one per "
+                   "usable CPU (same results at any count).")
 def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
                  seed: int, spacing: str, out_dir: str, emit_per_rep: bool,
                  workers: int) -> None:
@@ -532,15 +535,6 @@ def _report_entry_json(stat, design, evidence, error) -> str:
 _PART_CHARS = 1 << 20  # the least text worth a forked part of `parse`
 
 
-def _part_count(chars: int) -> int:
-    """How many parts ``parse`` cuts a text of ``chars`` characters into: one per
-    usable CPU, of at least ``_PART_CHARS`` each."""
-    parts = 1 + chars // _PART_CHARS
-    if parts == 1 or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(parts, len(os.sched_getaffinity(0)))
-
-
 @main.command("parse")
 @click.argument("text_path", required=False, type=click.Path(dir_okay=False, allow_dash=True))
 @click.option("--assume-rm/--no-assume-rm", default=True, show_default=True,
@@ -555,12 +549,10 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
     _check_prior(prior_h0)
-    try:
-        if text_path in (None, "-"):
-            text = click.get_text_stream("stdin").read()
-        else:
-            with open(text_path, encoding="utf-8") as handle:
-                text = handle.read()
+    try:  # stdin is read as a file is: UTF-8 whatever the locale, with universal newlines
+        with (open(text_path, encoding="utf-8") if text_path not in (None, "-") else
+              io.TextIOWrapper(click.get_binary_stream("stdin"), encoding="utf-8")) as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.start is its byte offset
         raise DomainError(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} "
@@ -597,7 +589,8 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
 
     from ._parts import in_parts
 
-    rendered = in_parts(batches, len(text), _part_count(len(text)))
+    # at most one part per _PART_CHARS characters; in_parts caps that at the usable CPUs
+    rendered = in_parts(batches, len(text), 1 + len(text) // _PART_CHARS)
     echoed = False
     with closing(rendered):  # a cut text's children are killed and reaped on any way out
         for batch in rendered:  # echoed apart, so that a child's whole part is not copied

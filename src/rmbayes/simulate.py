@@ -541,9 +541,9 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
              workers: int = 1) -> GridReport:
     """Run every (delta, rho, n) cell of the grid.
 
-    Cells are independent; they run in ``min(workers, cells)`` parts, the
-    first here and each later one in a forked child (``_parts.in_parts``), and
-    the substream seeding guarantees the report is identical to a sequential run.
+    Cells are independent; ``_parts.in_parts`` runs them in at most ``workers`` parts,
+    the first here and each later one in a forked child, and the substream seeding
+    guarantees the report is identical to a sequential run.
     """
     if not n_values or not rho_values or not delta_values:
         raise DomainError("n_values, rho_values and delta_values must all be nonempty")

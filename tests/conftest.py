@@ -212,6 +212,11 @@ def count_forks(monkeypatch) -> list[int]:
     return pids
 
 
+def fake_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``cpus`` CPUs usable by this process, as ``os.sched_getaffinity`` reports."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def open_fds() -> set[str]:
     return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import fdtr
 
 from rmbayes import DesignSpec, f_cdf, rm_anova
-from rmbayes.anova import _decompose
+from rmbayes.anova import _decompose, _reg_incomplete_beta
 from rmbayes.errors import DegenerateResidualError, DomainError
 
 from conftest import definitional_anova, fresh_python
@@ -109,6 +109,29 @@ class TestRmAnova:
         matrix = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
         with pytest.raises(DegenerateResidualError):
             rm_anova(matrix)
+
+    @pytest.mark.parametrize("n,k", [(20, 3), (10, 5), (30, 2), (6, 4)])
+    def test_p_value_keeps_its_digits_down_to_1e_30(self, n, k):
+        # 1 - f_cdf read 0.0 past p = 1e-16, where scipy's upper tail goes on
+        rng = np.random.default_rng(11)
+        noise, effect = rng.normal(size=(n, k)), np.arange(k, dtype=float)
+        smallest = 1.0
+        for scale in np.geomspace(1e-3, 100, 80):
+            table = rm_anova(noise + scale * effect)
+            expected = stats.f.sf(table.f_stat, table.df_treatment, table.df_residual)
+            if expected < 1e-31:
+                break
+            assert table.p_value == pytest.approx(expected, rel=1e-9, abs=0.0)
+            smallest = min(smallest, expected)
+        assert smallest < 1e-29
+
+    def test_p_value_near_1_keeps_its_digits_at_large_df(self):
+        # the p of F(1, 199998) = f, as rm_anova takes it: given x alone, the beta
+        # function's 1 - x lost digits and p was off by up to 9e-9
+        for f in np.geomspace(1e-8, 1e-2, 50):
+            t, df2 = float(f), 199998
+            p = _reg_incomplete_beta(0.5 * df2, 0.5, df2 / (t + df2), t / (t + df2))
+            assert abs(p - stats.f.sf(f, 1, df2)) < 1e-10
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(99)

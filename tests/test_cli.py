@@ -29,7 +29,7 @@ from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
 from rmbayes.errors import DomainError
 
 from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
-                      count_forks, decimal_log_bf01_between, open_fds)
+                      count_forks, decimal_log_bf01_between, fake_cpus, open_fds)
 
 
 @pytest.fixture()
@@ -357,6 +357,41 @@ def test_bf_text_outside_the_decimal_range_keeps_its_digits(runner):
     evidence = json.loads(invoke(runner, ["bf", "--f", "100", "--n", "20", "--k", "3",
                                           "--json"]).stdout)["evidence"]
     assert f"{evidence['bf01']:.3e}" == "4.637e-15"
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.0, "0.000"),
+    (math.nextafter(1e6, 0), "1000000.000"),
+    (1e6, "1.000e+06"),
+    (-math.nextafter(1e6, 0), "-1000000.000"),
+    (-1e6, "-1.000e+06"),
+    (math.inf, "inf"),
+])
+def test_text_has_3_decimals_below_a_magnitude_of_1e6(value, text):
+    assert cli._fmt(value) == text
+
+
+def test_large_values_in_text_keep_4_significant_digits(runner, tmp_path):
+    # dBIC10 was once printed with 24 digits, and these SS and MS with about 300 each
+    result = invoke(runner, ["bf", "--f", "1e300", "--n", "100000000000000000000", "--k", "3"])
+    assert result.stdout == (
+        "F = 1e+300, n = 100000000000000000000, k = 3\n"
+        "method      : minimal BIC (repeated measures)\n"
+        "BF01        : 0.000\n"
+        "BF10        : 1.798e+308 (saturated)\n"
+        "dBIC10      : -1.289e+23\n"
+        "p(H0 | y)   : 0.000\n"
+        "p(H1 | y)   : 1.000   (prior p(H0) = 0.5)\n")
+    path = tmp_path / "large.csv"
+    write_csv(path, 1e150 * np.array([[1, 2, 4], [2, 3, 7], [3, 5, 5], [4, 4, 9]]))
+    result = invoke(runner, ["anova", str(path)])
+    assert result.stdout == (
+        "n = 4 subjects, k = 3 conditions\n"
+        "Source             SS  df          MS       F      p\n"
+        "Subjects   1.692e+301   3  5.639e+300\n"
+        "Treatment  3.017e+301   2  1.508e+301  11.553  0.009\n"
+        "Residual   7.833e+300   6  1.306e+300\n"
+        "Total      5.492e+301  11\n")
 
 
 class TestAnova:
@@ -1010,6 +1045,36 @@ class TestParse:
         assert result.stderr == (f"error: {name}: not valid UTF-8 at byte {offset} "
                                  "(invalid start byte)\n")
 
+    @pytest.mark.parametrize("options", [[], ["--json"]])
+    def test_stdin_is_read_as_a_file_is_under_any_locale(self, tmp_path, options):
+        # a latin-1 stdin once read these bytes as other characters, and moved the spans
+        raw = "Résumé: F(2, 38) = 3.5, p = .04\r\nthen F(1, 22) = 1.3e\u22122\r\n".encode()
+        path = tmp_path / "text.txt"
+        path.write_bytes(raw)
+        from_file, from_stdin = (
+            self.cli_latin1([*args, *options], raw) for args in (["parse", str(path)], ["parse"]))
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_file.stderr == from_stdin.stderr == b""
+        assert b"0.013" in from_stdin.stdout  # the second F, as its minus sign was read
+        assert (without_timestamp(from_stdin.stdout.decode()).replace('"-"', '"PATH"')
+                == without_timestamp(from_file.stdout.decode()).replace(
+                    json.dumps(str(path)), '"PATH"'))
+
+    def test_stdin_not_utf8_exit_2_under_any_locale(self):
+        raw = b"F(2, 38) = 3.5 \xff\n"
+        result = self.cli_latin1(["parse", "-"], raw)
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr == b"error: -: not valid UTF-8 at byte 15 (invalid start byte)\n"
+
+    @staticmethod
+    def cli_latin1(args, stdin: bytes):
+        """``rmbayes args`` in a fresh interpreter whose standard streams are latin-1."""
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "rmbayes.cli", *args], input=stdin,
+                              env=env, capture_output=True, timeout=60)
+
     @pytest.mark.parametrize("text, options", [
         pytest.param("", (), id="no-reports"),
         pytest.param("no reports here, only t(38) = 2.1 and F = 3.20", (), id="distractors"),
@@ -1098,7 +1163,7 @@ class TestParseSplit:
         """Cut every text of ``part_chars`` or more characters into as many parts as
         ``cpus``; the pids forked, as a list."""
         monkeypatch.setattr(cli, "_PART_CHARS", part_chars)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        fake_cpus(monkeypatch, cpus)
         return count_forks(monkeypatch)
 
     open_fds = staticmethod(open_fds)
@@ -1152,9 +1217,16 @@ class TestParseSplit:
         path.write_text(_SPLIT_TEXT, encoding="utf-8")
         args = ["parse", str(path), *options]
         whole = invoke(runner, args)
+        scans, scan = [], cli._scan
+
+        def recorded_scan(text, start, end):
+            scans.append((start, end))
+            return scan(text, start, end)
+        monkeypatch.setattr(cli, "_scan", recorded_scan)
         pids, fds = self.split(monkeypatch, 3), self.open_fds()
         parts = invoke(runner, args)
         assert pids == []
+        assert scans == [(0, len(_SPLIT_TEXT))]  # one part, scanned once, whole
         assert whole.exit_code == parts.exit_code == 0
         assert without_timestamp(parts.stdout) == without_timestamp(whole.stdout)
         self.assert_nothing_left(fds)

@@ -39,8 +39,8 @@ from rmbayes.simulate import (
     _splitmix64,
 )
 
-from conftest import (assert_nothing_left, count_forks, open_fds, reference_dataset,
-                      reference_make_profile)
+from conftest import (assert_nothing_left, count_forks, fake_cpus, open_fds,
+                      reference_dataset, reference_make_profile)
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
@@ -517,9 +517,19 @@ class TestRunGrid:
         kwargs = dict(n_values=n_values, rho_values=(0.2,), delta_values=(0.5,), reps=3,
                       master_seed=5)
         sequential = run_grid(workers=1, **kwargs)
+        fake_cpus(monkeypatch, 8)
         pids = count_forks(monkeypatch)
         assert run_grid(workers=workers, **kwargs) == sequential
         assert len(pids) == children
+
+    def test_no_more_parts_than_usable_cpus(self, monkeypatch):
+        kwargs = dict(n_values=(20, 30, 40, 50), rho_values=(0.2,), delta_values=(0.5,),
+                      reps=3, master_seed=5)
+        sequential = run_grid(workers=1, **kwargs)
+        fake_cpus(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
+        assert run_grid(workers=64, **kwargs) == sequential
+        assert len(pids) == 1
 
     def test_the_cells_of_a_killed_child_run_here(self, monkeypatch):
         kwargs = dict(n_values=(20, 30, 40), rho_values=(0.2,), delta_values=(0.5,), reps=3,
@@ -532,6 +542,7 @@ class TestRunGrid:
                 os.kill(os.getpid(), signal.SIGKILL)
             return run(config)
         monkeypatch.setattr(sim, "run_cell", killed_in_children)
+        fake_cpus(monkeypatch, 3)
         fds, pids = open_fds(), count_forks(monkeypatch)
         assert run_grid(workers=3, **kwargs) == sequential
         assert len(pids) == 2
@@ -540,6 +551,7 @@ class TestRunGrid:
     @pytest.mark.parametrize("n_values", [(20, 2 ** 50), (2 ** 50, 20)],
                              ids=["in-the-child", "in-the-parent"])
     def test_a_failing_cell_raises_here_and_leaves_no_child(self, monkeypatch, n_values):
+        fake_cpus(monkeypatch, 2)
         fds, pids = open_fds(), count_forks(monkeypatch)
         with pytest.raises(DomainError, match=f"cell n{2 ** 50}_k3_rho0.2_delta0: its n-by-k "
                                               "design does not fit in memory"):
