@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from contextlib import closing, suppress
+from dataclasses import fields
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -29,11 +30,12 @@ import click
 # module, which finds a wrapper bound here (perfbench's trace points) or else falls
 # through to the package's lazy __getattr__, bound as this module's own
 from . import __getattr__, __version__
-from .apa import _rm_design, _scan
+from .apa import ReportedStat, _rm_design, _scan
 # unused here: perfbench's trace points patch them as rmbayes.cli globals (ROADMAP item 3)
 from .apa import infer_rm_design, parse_reports
 from .bayes import (
     DesignSpec,
+    EvidenceResult,
     Method,
     ModelChoice,
     SummaryStats,
@@ -467,42 +469,30 @@ def _report_line(stat, design, evidence, error) -> str:
         bound = ">=" if f_is_upper_bound else "="
         note = "  (lower bound: F reported as an upper bound)" if f_is_upper_bound else ""
         _, bf01, _, _, posterior_h0, _, _, saturated = evidence
+        # BF01 decreases in F and p(H0|y) increases in BF01: both are lower bounds
         return (f"{left:<28} n={design[0]}  k={design[1]}  BF01 {bound} "
-                f"{_fmt_bf(bf01, saturated)}  p(H0|y) = {_fmt(posterior_h0)}{note}")
+                f"{_fmt_bf(bf01, saturated)}  p(H0|y) {bound} {_fmt(posterior_h0)}{note}")
     if error is not None:
         return f"{left:<28} not inferable: {error}"
     return left
 
 
-def _json_float(value: float) -> str:
-    """``value`` as ``json`` writes a float."""
-    text = float.__repr__(value)
-    return _JSON_NONFINITE.get(text, text)
+def _slots(cls) -> dict:
+    """A "%s" placeholder for each field of the dataclass ``cls``."""
+    return dict.fromkeys((field.name for field in fields(cls)), "%s")
 
 
-# The report-v1 ``reports`` entry of ``parse --json``, keys in sorted order, as one
-# template per shape: evaluated, or not (a null error if listed without --assume-rm)
-_REPORT_KEYS = ("design", "df1", "df2", "error", "evidence", "f_is_upper_bound", "f_value",
-                "p_is_upper_bound", "p_reported", "span")
-_EVIDENCE_KEYS = ("bf01", "bf10", "delta_bic10", "log_bf01", "method", "posterior_h0",
-                  "posterior_h1", "prior_h0", "saturated")
-
-
-def _entry_template(design: str, error: str, evidence: str) -> str:
-    """An entry with these three members filled in and a slot for each other one."""
-    members = {"design": design, "error": error, "evidence": evidence,
-               "span": "[\n        %d,\n        %d\n      ]"}
-    return ("    {\n" + ",\n".join(f'      "{key}": {members.get(key, "%s")}'
-                                   for key in _REPORT_KEYS) + "\n    }")
-
-
-_REPORT_EVALUATED = _entry_template(
-    '{\n        "k": %d,\n        "n": %d\n      }', "null",
-    "{\n" + ",\n".join(f'        "{key}": %s' for key in _EVIDENCE_KEYS) + "\n      }")
-_REPORT_NOT_EVALUATED = _entry_template("null", "%s", "null")
+# The report-v1 ``reports`` entry of ``parse --json``, one template per shape, evaluated
+# or not (a null error if listed without --assume-rm): json's lines of the entry in a
+# report of it alone, with a "%s" string in each slot, its quotes then removed
+_REPORT_EVALUATED, _REPORT_NOT_EVALUATED = (
+    "\n".join(json.dumps({"reports": [entry]}, indent=2, sort_keys=True).splitlines()[2:-2])
+    .lstrip().replace('"%s"', "%s")
+    for entry in ({**_slots(ReportedStat), "span": ["%s", "%s"], **members} for members in (
+        {"design": {"k": "%s", "n": "%s"}, "error": None,  # minimal_rm: parse's only route
+         "evidence": {**_slots(EvidenceResult), "method": Method.MINIMAL_RM.value}},
+        {"design": None, "error": "%s", "evidence": None})))
 _JSON_BOOL = {False: "false", True: "true"}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_MINIMAL_RM = encode_basestring_ascii(Method.MINIMAL_RM.value)  # parse's only route
 _REPORT_BATCH = 1000  # entries per write: bounded memory, few flushes
 
 
@@ -520,7 +510,7 @@ def _report_entry_json(stat, design, evidence, error) -> str:
             evidence)
         template = _REPORT_EVALUATED
         values = (design[1], design[0], df1, df2, bf01, bf10, delta_bic10, log_bf01,
-                  _JSON_MINIMAL_RM, posterior_h0, posterior_h1, prior_h0, _JSON_BOOL[saturated])
+                  posterior_h0, posterior_h1, prior_h0, _JSON_BOOL[saturated])
         check += bf01 + bf10 + delta_bic10 + log_bf01 + posterior_h0 + posterior_h1
     else:
         template = _REPORT_NOT_EVALUATED
@@ -528,7 +518,7 @@ def _report_entry_json(stat, design, evidence, error) -> str:
     values += (_JSON_BOOL[f_is_upper_bound], f_value, _JSON_BOOL[p_is_upper_bound],
                "null" if p_reported is None else p_reported, *span)
     if not math.isfinite(check):
-        values = tuple(_json_float(v) if type(v) is float else v for v in values)
+        values = tuple(json.dumps(v) if type(v) is float else v for v in values)
     return template % values
 
 
@@ -560,11 +550,11 @@ def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
     text = text.replace("\u2212", "-")  # one character for one, so spans still index the input
 
     if as_json:
-        head = _report_json("parse", {
+        # the entries go in place of one "%s" in "reports", the last key
+        lead, _, tail = _report_json("parse", {
             "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
-        }, {"reports": []})
-        lead = head[:-len("[]\n}")] + "[\n"  # "reports" is the last key
-        render, sep, tail, empty = _report_entry_json, ",\n", "\n  ]\n}", head
+        }, {"reports": ["%s"]}).rpartition('"%s"')
+        render, sep, empty = _report_entry_json, ",\n    ", lead.rstrip() + tail.lstrip()
     else:
         lead, render, sep, tail, empty = "", _report_line, "\n", "", "no F reports found"
 

@@ -25,7 +25,7 @@ from rmbayes import SimulationConfig, run_cell, run_grid
 from rmbayes import cli
 from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
 from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
-from rmbayes.cli import _EVIDENCE_KEYS, _REPORT_KEYS, main
+from rmbayes.cli import _report_entry_json, main
 from rmbayes.errors import DomainError
 
 from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
@@ -96,7 +96,7 @@ def reference_parse_text(text, assume_rm=True, prior_h0=0.5):
                 if result.saturated and result.bf01 == sys.float_info.max:
                     bf01 += " (saturated)"
                 line = (f"{line:<28} n={design.n}  k={design.k}  BF01 {bound} "
-                        f"{bf01}  p(H0|y) = {result.posterior_h0:.3f}{note}")
+                        f"{bf01}  p(H0|y) {bound} {result.posterior_h0:.3f}{note}")
         lines.append(line)
     return "".join(f"{line}\n" for line in lines) if lines else "no F reports found\n"
 
@@ -319,6 +319,15 @@ def test_f_above_float_max_over_df1_is_listed_with_its_design(runner):
     assert result.output == "F(2, 18) = 1e+308            n=10  k=3  BF01 = 0.000  p(H0|y) = 0.000\n"
 
 
+def test_posterior_of_an_upper_bound_f_is_listed_as_a_lower_bound(runner):
+    # BF01 decreases in F and p(H0|y) increases in BF01: F < 1 bounds both from below
+    result = invoke(runner, ["parse", "-"], input="F(2, 38) < 1\n")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "F(2, 38) < 1                 n=20  k=3  BF01 >= 14.339  p(H0|y) >= 0.935  "
+        "(lower bound: F reported as an upper bound)\n")
+
+
 def test_saturated_bf01_is_marked_in_the_parse_listing(runner):
     # log BF01 is about 716, past ln(float max); the upper bound keeps its ">="
     result = invoke(runner, ["parse", "-"], input="F(200, 2000) = 0.5 and F(200, 2000) < 0.5")
@@ -327,7 +336,7 @@ def test_saturated_bf01_is_marked_in_the_parse_listing(runner):
         "F(200, 2000) = 0.5           n=11  k=201  BF01 = 1.798e+308 (saturated)  "
         "p(H0|y) = 1.000\n"
         "F(200, 2000) < 0.5           n=11  k=201  BF01 >= 1.798e+308 (saturated)  "
-        "p(H0|y) = 1.000  (lower bound: F reported as an upper bound)\n")
+        "p(H0|y) >= 1.000  (lower bound: F reported as an upper bound)\n")
     evidence = json.loads(invoke(runner, ["parse", "-", "--json"],
                                  input="F(200, 2000) = 0.5").stdout)["reports"][0]["evidence"]
     assert evidence["bf01"] == sys.float_info.max and evidence["saturated"]
@@ -940,6 +949,16 @@ class TestParse:
         assert "n=23" in result.output
         assert "BF01 = 2.435" in result.output
 
+    def test_json_of_a_path_spelt_like_the_entry_slot(self, runner, tmp_path, monkeypatch):
+        # the entries go in place of the report's last "%s" string, after text_path's
+        text = "F(1, 22) = 1.336 and F(2, 39) = 3.1"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "%s").write_text(text, encoding="utf-8")
+        result = invoke(runner, ["parse", "--json", "%s"])
+        manifest = json.loads(result.stdout)["manifest"]
+        assert manifest["params"]["text_path"] == "%s"
+        assert result.stdout == reference_parse_json(text, manifest)
+
     def test_stdin_and_uninferable_listing(self, runner):
         # exact bytes: the text report does not move with the JSON writer
         for text, expected in [
@@ -953,7 +972,7 @@ class TestParse:
              "F(1.46, 32.1) = 5.02         not inferable: decimal degrees of freedom "
              "(1.46, 32.1) suggest a sphericity correction; the uncorrected integer dfs "
              "are required\n"
-             "F(2, 38) < 1                 n=20  k=3  BF01 >= 14.339  p(H0|y) = 0.935  "
+             "F(2, 38) < 1                 n=20  k=3  BF01 >= 14.339  p(H0|y) >= 0.935  "
              "(lower bound: F reported as an upper bound)\n"),
             # more lines than one write batch holds
             ("F(1, 22) = 1.336 and F(2, 39) = 3.1; " * 1001,
@@ -1137,10 +1156,18 @@ class TestParse:
         assert json_without_timestamp(result.stdout) == json_without_timestamp(usual[("--json",)])
 
     def test_json_writer_keys_track_the_dataclasses(self):
-        """A new result field fails here instead of silently missing from the JSON."""
-        stat_keys = [field.name for field in fields(ReportedStat)]
-        assert _REPORT_KEYS == tuple(sorted(stat_keys + ["design", "evidence", "error"]))
-        assert _EVIDENCE_KEYS == tuple(sorted(field.name for field in fields(EvidenceResult)))
+        """A new result field fails here instead of silently missing from the JSON: the
+        entry templates gain its slot, which the writer's values then leave unfilled."""
+        stat = (1.0, 2.0, 38.0, 0.5, True, False, (3, 15))
+        evidence = (2.6, 14.3, 0.07, 5.2, 0.93, 0.07, 0.5, False)
+        evaluated = json.loads(_report_entry_json(stat, (20, 3), evidence, None))
+        unevaluated = json.loads(_report_entry_json(stat, None, None, "no design"))
+        entry_keys = {field.name for field in fields(ReportedStat)} | {
+            "design", "error", "evidence"}
+        assert set(evaluated) == set(unevaluated) == entry_keys
+        assert set(evaluated["evidence"]) == {field.name for field in fields(EvidenceResult)}
+        assert evaluated["design"] == {"n": 20, "k": 3} and evaluated["span"] == [3, 15]
+        assert unevaluated["error"] == "no design" and unevaluated["evidence"] is None
 
 
 # Cut into 5 parts, this text is cut inside a report, between an F and its "(", and
