@@ -69,24 +69,27 @@ def _fmt_bf(value: float, saturated: bool) -> str:
     return f"{text} (saturated)" if saturated and value == sys.float_info.max else text
 
 
-def _report_json(command: str, params: dict, payload: dict, seed: int | None = None) -> str:
-    """A report-v1 document: the command's manifest plus ``payload``."""
+def _report_json(payload: dict) -> str:
+    """A report-v1 document: the running command's manifest plus ``payload``. The
+    manifest's params are the command's parsed parameters, ``as_json`` aside, under
+    their click names; a ``seed`` parameter is the manifest's own member."""
+    ctx = click.get_current_context()
+    params = {name: value for name, value in ctx.params.items() if name != "as_json"}
     manifest = {
-        "command": command,
+        "command": ctx.info_name,
         "artifact_version": __version__,
         "schema_version": _SCHEMA_VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "params": params,
     }
-    if seed is not None:
-        manifest["seed"] = seed
+    if "seed" in params:
+        manifest["seed"] = params.pop("seed")
     return json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True)
 
 
-def _report(command: str, params: dict, as_json: bool, payload: dict,
-            lines: list[str]) -> None:
+def _report(as_json: bool, payload: dict, lines: list[str]) -> None:
     """Echo the report-v1 document of ``payload``, or else the text ``lines``."""
-    click.echo(_report_json(command, params, payload) if as_json else "\n".join(lines))
+    click.echo(_report_json(payload) if as_json else "\n".join(lines))
 
 
 class UInt64(click.ParamType):
@@ -158,50 +161,40 @@ def main() -> None:
 
 
 @main.command("bf")
-@click.option("--f", "f_stat", type=float, required=True,
+@click.option("--f", type=float, required=True,
               help="Observed F statistic for the treatment effect.")
-@click.option("--n", "n_subjects", type=int, required=True, help="Number of subjects.")
-@click.option("--k", "k_conditions", type=int, required=True,
-              help="Number of repeated-measures conditions.")
+@click.option("--n", type=int, required=True, help="Number of subjects.")
+@click.option("--k", type=int, required=True, help="Number of repeated-measures conditions.")
 @click.option("--prior-h0", type=float, default=0.5, show_default=True,
               help="Prior probability of the null model.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
-def cmd_bf(f_stat: float, n_subjects: int, k_conditions: int, prior_h0: float,
-           as_json: bool) -> None:
+def cmd_bf(f: float, n: int, k: int, prior_h0: float, as_json: bool) -> None:
     """Bayes factor from F, n and k alone (minimal BIC method)."""
-    result = bf01_minimal_rm(f_stat, DesignSpec(n=n_subjects, k=k_conditions),
-                             prior_h0=prior_h0)
-    _report("bf", {
-        "f": f_stat, "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
-    }, as_json, {"evidence": vars(result)}, [
-        f"F = {f_stat:g}, n = {n_subjects}, k = {k_conditions}", *_render_evidence(result),
-    ])
+    result = bf01_minimal_rm(f, DesignSpec(n=n, k=k), prior_h0=prior_h0)
+    _report(as_json, {"evidence": vars(result)},
+            [f"F = {f:g}, n = {n}, k = {k}", *_render_evidence(result)])
 
 
 @main.command("bf-ss")
 @click.option("--sst", type=float, required=True, help="Total sum of squares.")
 @click.option("--ssa", type=float, required=True, help="Treatment sum of squares.")
 @click.option("--ssb", type=float, required=True, help="Subject sum of squares.")
-@click.option("--n", "n_subjects", type=int, required=True, help="Number of subjects.")
-@click.option("--k", "k_conditions", type=int, required=True,
-              help="Number of repeated-measures conditions.")
+@click.option("--n", type=int, required=True, help="Number of subjects.")
+@click.option("--k", type=int, required=True, help="Number of repeated-measures conditions.")
 @click.option("--prior-h0", type=float, default=0.5, show_default=True,
               help="Prior probability of the null model.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
-def cmd_bf_ss(sst: float, ssa: float, ssb: float, n_subjects: int, k_conditions: int,
-              prior_h0: float, as_json: bool) -> None:
+def cmd_bf_ss(sst: float, ssa: float, ssb: float, n: int, k: int, prior_h0: float,
+              as_json: bool) -> None:
     """Bayes factor from sums of squares (Nathoo-Masson method)."""
-    design = DesignSpec(n=n_subjects, k=k_conditions)
+    design = DesignSpec(n=n, k=k)
     stats = SummaryStats(ss_treatment=ssa, ss_subjects=ssb, ss_total=sst, design=design)
     result = delta_bic_nathoo(stats, prior_h0=prior_h0)
-    lines = [f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n_subjects}, k = {k_conditions}",
+    lines = [f"SST = {sst:g}, SSA = {ssa:g}, SSB = {ssb:g}, n = {n}, k = {k}",
              *_render_evidence(result)]
     if ssa == 0:
         lines.append("note: the treatment sum of squares is 0; the treatment explains nothing")
-    _report("bf-ss", {
-        "sst": sst, "ssa": ssa, "ssb": ssb,
-        "n": n_subjects, "k": k_conditions, "prior_h0": prior_h0,
-    }, as_json, {"evidence": vars(result)}, lines)
+    _report(as_json, {"evidence": vars(result)}, lines)
 
 
 def _read_wide_csv(path: str) -> np.ndarray:
@@ -284,16 +277,15 @@ def _render_anova_table(table) -> list[str]:
 
 @main.command("anova")
 @click.argument("csv_path", type=click.Path(dir_okay=False))
-@click.option("--bf", "with_bf", is_flag=True,
-              help="Append Bayes factors from both methods.")
+@click.option("--bf", is_flag=True, help="Append Bayes factors from both methods.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
-def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
+def cmd_anova(csv_path: str, bf: bool, as_json: bool) -> None:
     """Repeated-measures ANOVA of a wide-format CSV (one row per subject)."""
     data = _read_wide_csv(csv_path)
     table = sys.modules[__name__].rm_anova(data)
     design = DesignSpec(*data.shape)
     evidence = []
-    if with_bf:
+    if bf:
         evidence = [
             bf01_minimal_rm(table.f_stat, design),
             delta_bic_nathoo(SummaryStats(
@@ -306,22 +298,25 @@ def cmd_anova(csv_path: str, with_bf: bool, as_json: bool) -> None:
     lines = [f"n = {design.n} subjects, k = {design.k} conditions", *_render_anova_table(table)]
     for result in evidence:
         lines += ["", *_render_evidence(result)]
-    _report("anova", {"csv_path": csv_path, "bf": with_bf}, as_json, {
+    _report(as_json, {
         "design": {"n": design.n, "k": design.k},
         "anova": vars(table),
         "evidence": ({result.method.value: vars(result) for result in evidence}
-                     if with_bf else None),
+                     if bf else None),
     }, lines)
 
 
-def _parse_number_list(raw: str, cast, label: str) -> tuple:
-    try:
-        values = tuple(cast(item.strip()) for item in raw.split(",") if item.strip())
-    except ValueError:
-        raise DomainError(f"could not parse {label} list {raw!r}") from None
-    if not values:
-        raise DomainError(f"{label} list is empty")
-    return values
+def _number_list(cast, label: str):
+    """A click callback reading a comma-separated list of ``cast`` values as a list."""
+    def parse(ctx, param, raw: str) -> list:
+        try:
+            values = [cast(item.strip()) for item in raw.split(",") if item.strip()]
+        except ValueError:
+            raise DomainError(f"could not parse {label} list {raw!r}") from None
+        if not values:
+            raise DomainError(f"{label} list is empty")
+        return values
+    return parse
 
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
@@ -351,8 +346,7 @@ def _grid_json(report: GridReport) -> dict:
     return {"grid": grid, "cells": cells}
 
 
-def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: int,
-                        emit_per_rep: bool) -> list[str]:
+def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -362,7 +356,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
 
     grid = _grid_json(report)
     with open(target("grid_report.json"), "w", encoding="utf-8") as handle:
-        handle.write(_report_json("simulate", params, grid, seed=seed) + "\n")
+        handle.write(_report_json(grid) + "\n")
 
     # each summary table lists, per record, the values of its columns
     key = ["delta", "rho", "n"]
@@ -407,12 +401,13 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
 
 
 @main.command("simulate")
-@click.option("--n", "n_list", default="20,50,80", show_default=True,
-              help="Comma-separated subject counts.")
-@click.option("--rho", "rho_list", default="0.2,0.8", show_default=True,
+@click.option("--n", "n_values", default="20,50,80", show_default=True,
+              callback=_number_list(int, "subject-count"), help="Comma-separated subject counts.")
+@click.option("--rho", "rho_values", default="0.2,0.8", show_default=True,
+              callback=_number_list(float, "correlation"),
               help="Comma-separated intraclass correlations.")
-@click.option("--delta", "delta_list", default="0,0.2,0.5", show_default=True,
-              help="Comma-separated effect sizes.")
+@click.option("--delta", "delta_values", default="0,0.2,0.5", show_default=True,
+              callback=_number_list(float, "effect-size"), help="Comma-separated effect sizes.")
 @click.option("--k", type=int, default=3, show_default=True,
               help="Number of repeated-measures conditions.")
 @click.option("--reps", type=int, default=1000, show_default=True,
@@ -431,22 +426,13 @@ def _write_grid_outputs(report: GridReport, out_dir: str, params: dict, seed: in
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Processes for cells, this one and forked children, at most one per "
                    "usable CPU (same results at any count).")
-def cmd_simulate(n_list: str, rho_list: str, delta_list: str, k: int, reps: int,
-                 seed: int, spacing: str, out_dir: str, emit_per_rep: bool,
+def cmd_simulate(n_values: list[int], rho_values: list[float], delta_values: list[float],
+                 k: int, reps: int, seed: int, spacing: str, out_dir: str, emit_per_rep: bool,
                  workers: int) -> None:
     """Run the Monte Carlo grid comparing both Bayes factor methods."""
-    n_values = _parse_number_list(n_list, int, "subject-count")
-    rho_values = _parse_number_list(rho_list, float, "correlation")
-    delta_values = _parse_number_list(delta_list, float, "effect-size")
     report = sys.modules[__name__].run_grid(n_values, rho_values, delta_values, k=k, reps=reps,
                                             master_seed=seed, spacing=spacing, workers=workers)
-    params = {
-        "n_values": list(n_values), "rho_values": list(rho_values),
-        "delta_values": list(delta_values), "k": k, "reps": reps,
-        "spacing": spacing, "out_dir": out_dir, "emit_per_rep": emit_per_rep,
-        "workers": workers,
-    }
-    written = _write_grid_outputs(report, out_dir, params, seed, emit_per_rep)
+    written = _write_grid_outputs(report, out_dir, emit_per_rep)
     click.echo(f"wrote {', '.join(written)} in {out_dir}")
     click.echo("")
     header = f"{'cell':<32}{'acc_min':>8}{'acc_nm':>8}{'consist':>9}{'corr':>7}"
@@ -526,34 +512,32 @@ _PART_CHARS = 1 << 20  # the least text worth a forked part of `parse`
 
 
 @main.command("parse")
-@click.argument("text_path", required=False, type=click.Path(dir_okay=False, allow_dash=True))
+@click.argument("text_path", required=False, default="-",
+                type=click.Path(dir_okay=False, allow_dash=True))
 @click.option("--assume-rm/--no-assume-rm", default=True, show_default=True,
               help="Invert df1/df2 into (n, k) for a one-factor repeated-measures design.")
 @click.option("--prior-h0", type=float, default=0.5, show_default=True,
               help="Prior probability of the null model.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
-def cmd_parse(text_path: str | None, assume_rm: bool, prior_h0: float,
-              as_json: bool) -> None:
+def cmd_parse(text_path: str, assume_rm: bool, prior_h0: float, as_json: bool) -> None:
     """Scan text for reported F statistics and estimate Bayes factors.
 
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
     _check_prior(prior_h0)
     try:  # stdin is read as a file is: UTF-8 whatever the locale, with universal newlines
-        with (open(text_path, encoding="utf-8") if text_path not in (None, "-") else
+        with (open(text_path, encoding="utf-8") if text_path != "-" else
               io.TextIOWrapper(click.get_binary_stream("stdin"), encoding="utf-8")) as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.start is its byte offset
-        raise DomainError(f"{text_path or '-'}: not valid UTF-8 at byte {exc.start} "
+        raise DomainError(f"{text_path}: not valid UTF-8 at byte {exc.start} "
                           f"({exc.reason})") from None
     text = text.replace("\u2212", "-")  # one character for one, so spans still index the input
 
     if as_json:
         # the entries go in place of one "%s" in "reports", the last key
-        lead, _, tail = _report_json("parse", {
-            "text_path": text_path or "-", "assume_rm": assume_rm, "prior_h0": prior_h0,
-        }, {"reports": ["%s"]}).rpartition('"%s"')
+        lead, _, tail = _report_json({"reports": ["%s"]}).rpartition('"%s"')
         render, sep, empty = _report_entry_json, ",\n    ", lead.rstrip() + tail.lstrip()
     else:
         lead, render, sep, tail, empty = "", _report_line, "\n", "", "no F reports found"

@@ -331,6 +331,13 @@ class TestFCdf:
                     worst = max(worst, abs(f_cdf(float(x), d1, d2) - fdtr(d1, d2, x)))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("x,d1,d2", [(0.9999205860962483, 1.66e6, 3.8e6),
+                                         (1, 31410894, 29549534)])
+    def test_large_dfs_near_the_mean_converge(self, x, d1, d2):
+        # Lentz needs more than 500 steps here, about sqrt of the larger beta parameter
+        value = f_cdf(x, d1, d2)
+        assert type(value) is float and 0.0 <= value <= 1.0
+
     def test_monotone_in_x(self):
         xs = np.sort(np.random.default_rng(11).uniform(0.0, 50.0, 200))
         values = [f_cdf(float(x), 4, 17) for x in xs]

@@ -16,6 +16,7 @@ import time
 import tracemalloc
 from dataclasses import fields
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -403,6 +404,26 @@ def test_large_values_in_text_keep_4_significant_digits(runner, tmp_path):
         "Total      5.492e+301  11\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["bf", "--f", "4", "--n", "20", "--k", "3", "--json"],
+    ["bf-ss", "--sst", "100", "--ssa", "20", "--ssb", "30", "--n", "10", "--k", "3", "--json"],
+    ["anova", "DATA", "--json"],
+    ["parse", "TEXT", "--json"],
+    ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0", "--reps", "3", "--out-dir", "OUT"],
+], ids=["bf", "bf-ss", "anova", "parse", "simulate"])
+def test_manifest_records_every_parameter(runner, tmp_path, args):
+    # an option added later cannot be left out of the manifest
+    write_csv(tmp_path / "data.csv", [[1, 2], [2, 4], [3, 5]])
+    (tmp_path / "text.txt").write_text("F(1, 22) = 1.336, p = .26", encoding="utf-8")
+    paths = {"DATA": tmp_path / "data.csv", "TEXT": tmp_path / "text.txt", "OUT": tmp_path}
+    output = invoke(runner, [str(paths.get(arg, arg)) for arg in args]).output
+    report = json.loads((tmp_path / "grid_report.json").read_text() if args[0] == "simulate"
+                        else output)
+    names = {param.name for param in main.commands[args[0]].params} - {"as_json", "seed"}
+    assert report["manifest"]["command"] == args[0]
+    assert set(report["manifest"]["params"]) == names
+
+
 class TestAnova:
     def test_reported_dataset_rendering(self, runner, tmp_path):
         path = tmp_path / "shift.csv"
@@ -637,6 +658,17 @@ class TestSimulate:
         assert "share the id n20_k3_rho0.2_delta0" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--n", ",", "subject-count list is empty"),
+        ("--rho", "0.2,abc", "could not parse correlation list '0.2,abc'"),
+    ])
+    def test_bad_list_exit_2(self, runner, tmp_path, option, value, message):
+        result = runner.invoke(main, ["simulate", option, value, "--reps", "3",
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_per_rep_emission(self, runner, tmp_path):
         self.run_smoke(runner, tmp_path / "out", extra=["--emit-per-rep"])
         lines = (tmp_path / "out" / "per_rep.csv").read_text().splitlines()
@@ -673,7 +705,8 @@ class TestSimulate:
         def write_peak(report, out_dir) -> int:
             tracemalloc.start()
             try:
-                cli._write_grid_outputs(report, str(out_dir), {}, 0, emit_per_rep=True)
+                with click.Context(cli.cmd_simulate, info_name="simulate"):
+                    cli._write_grid_outputs(report, str(out_dir), emit_per_rep=True)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

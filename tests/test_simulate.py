@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+from contextlib import closing
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from rmbayes import (
     run_cell,
     run_grid,
 )
+from rmbayes._parts import in_parts
 from rmbayes.errors import DomainError
 from rmbayes.simulate import (
     _cell_seed,
@@ -566,3 +568,17 @@ class TestRunGrid:
         pids = count_forks(monkeypatch)
         assert run_grid(workers=2, **kwargs) == sequential
         assert pids == []
+
+
+class TestInParts:
+    """``_parts.in_parts`` on a host without ``os.sched_getaffinity``."""
+
+    @pytest.mark.parametrize("cpu_count,children", [(3, 2), (None, 0)])
+    def test_cpu_count_bounds_the_parts(self, monkeypatch, cpu_count, children):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        fds, pids = open_fds(), count_forks(monkeypatch)
+        with closing(in_parts(lambda start, end: range(start, end), 8, 8)) as items:
+            assert list(items) == list(range(8))
+        assert len(pids) == children
+        assert_nothing_left(fds)
