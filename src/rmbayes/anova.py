@@ -207,7 +207,8 @@ def _reg_incomplete_beta(a: float, b: float, x: float, y: float) -> float:
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Modified Lentz evaluation of the incomplete-beta continued fraction. Near the
-    beta mean it needs about sqrt(max(a, b)) steps, so its bound grows with them."""
+    beta mean it needs about sqrt(max(a, b)) steps, so its bound grows with them, up
+    to a ceiling: past it (or once the coefficients overflow to NaN) it raises."""
     tiny = 1e-300  # floor keeps intermediate denominators away from 0
     eps = 1e-16
     c = 1.0
@@ -216,7 +217,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, 501 + int(3 * math.sqrt(max(a, b)))):
+    for m in range(1, min(501 + int(3 * math.sqrt(max(a, b))), 20_000)):
         m2 = 2 * m
         # the even and then the odd coefficient of step m
         for coef in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),

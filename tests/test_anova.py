@@ -1,6 +1,7 @@
 """Repeated-measures decomposition and F CDF against independent oracles."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,14 @@ class TestFCdf:
         # Lentz needs more than 500 steps here, about sqrt of the larger beta parameter
         value = f_cdf(x, d1, d2)
         assert type(value) is float and 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("d", [1e16, 1e300])
+    def test_huge_dfs_give_up_promptly(self, d):
+        # 1e16 would need ~1e8 steps; at 1e300 the coefficients overflow to NaN
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            f_cdf(1, d, d)
+        assert time.perf_counter() - start < 2.0
 
     def test_monotone_in_x(self):
         xs = np.sort(np.random.default_rng(11).uniform(0.0, 50.0, 200))

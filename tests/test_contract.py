@@ -10,9 +10,9 @@ numpy ``RuntimeWarning`` breaks the contract too.
 
 ``rm_anova`` takes matrices of those scalars, whose degrees of freedom are
 small enough for its p-value to converge. ``f_cdf`` is left out of the
-properties: at large degrees of freedom its continued fraction can still stop
-with RuntimeError, which is an open accuracy item of its own (ROADMAP item 2);
-its named inputs are here.
+properties: past about 4e9 degrees of freedom its continued fraction reaches
+its step ceiling (or overflows to NaN) and stops with RuntimeError, which is an
+open accuracy item of its own (ROADMAP item 2); its named inputs are here.
 """
 
 import math
