@@ -2,7 +2,9 @@
 CSV data, the Monte Carlo grid, and scanning text for reported F statistics.
 
 This module alone turns the library's result dataclasses into the report-v1
-JSON and the CSV files.
+JSON and the CSV files. A report object's members are its dataclass's fields
+(``minimum``/``maximum`` as ``min``/``max``; a cell leaves out ``master_seed``,
+``spacing`` and ``series``), which tests/test_cli.py ties to the schema.
 
 Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure;
 the process leaves by ``run`` alone.
@@ -19,7 +21,7 @@ import os
 import re
 import sys
 from contextlib import closing, suppress
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -52,7 +54,7 @@ from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
-    from .simulate import FiveNumberSummary, GridReport
+    from .simulate import GridReport
 
 _SCHEMA_VERSION = 1
 
@@ -299,7 +301,7 @@ def cmd_anova(csv_path: str, bf: bool, as_json: bool) -> None:
     for result in evidence:
         lines += ["", *_render_evidence(result)]
     _report(as_json, {
-        "design": {"n": design.n, "k": design.k},
+        "design": vars(design),
         "anova": vars(table),
         "evidence": ({result.method.value: vars(result) for result in evidence}
                      if bf else None),
@@ -327,23 +329,21 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
         handle.writelines(blocks)
 
 
+_JSON_NAMES = {"minimum": "min", "maximum": "max"}  # FiveNumberSummary's, in report-v1
+
+
+def _members(result, *left_out: str) -> dict:
+    """The fields of the dataclass ``result``, but ``left_out``, as report-v1 members:
+    in field order, under their ``_JSON_NAMES`` names, a nested dataclass as an object."""
+    return {_JSON_NAMES.get(name, name): _members(value) if is_dataclass(value) else value
+            for name, value in vars(result).items() if name not in left_out}
+
+
 def _grid_json(report: GridReport) -> dict:
     """The report-v1 ``grid`` and ``cells`` members of a simulation report."""
-    def quantiles(q: FiveNumberSummary) -> dict:
-        return {"min": q.minimum, "q1": q.q1, "median": q.median, "q3": q.q3,
-                "max": q.maximum}
-
-    grid = {name: value for name, value in vars(report).items() if name != "cells"}
-    cells = [{
-        "cell_id": cell.cell_id, "n": cell.config.n, "k": cell.config.k,
-        "rho": cell.config.rho, "delta": cell.config.delta, "reps": cell.config.reps,
-        "accuracy_min": cell.accuracy_min, "accuracy_nm": cell.accuracy_nm,
-        "consistency": cell.consistency,
-        "posterior_correlation": cell.posterior_correlation,
-        "posterior_quantiles_min": quantiles(cell.posterior_quantiles_min),
-        "posterior_quantiles_nm": quantiles(cell.posterior_quantiles_nm),
-    } for cell in report.cells]
-    return {"grid": grid, "cells": cells}
+    cells = [{"cell_id": cell.cell_id, **_members(cell.config, "master_seed", "spacing"),
+              **_members(cell, "config", "series")} for cell in report.cells]
+    return {"grid": _members(report, "cells"), "cells": cells}
 
 
 def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) -> list[str]:
@@ -368,7 +368,8 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
             ("table2.csv", ["accuracy_min", "accuracy_nm"], cells),
             ("table3.csv", ["consistency"], cells),
             ("table4.csv", ["posterior_correlation"], cells),
-            ("boxplot_data.csv", ["method", "min", "q1", "median", "q3", "max"], boxplot_records)):
+            ("boxplot_data.csv", ["method", *cells[0]["posterior_quantiles_min"]],
+             boxplot_records)):
         _write_csv(target(name), key + columns, (
             ",".join("" if record[column] is None else str(record[column])
                      for column in key + columns) + "\n" for record in records))
@@ -387,8 +388,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
             f"{_saturating_exp(log_nm)[0]!r},{posterior_min!r},{posterior_nm!r},"
             f"{choice[_chooses_h0(log_min)]},{choice[_chooses_h0(log_nm)]}\n"
             for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(zip(
-                *(getattr(cell.series, name).tolist() for name in (
-                    "f_stat", "log_bf01_min", "log_bf01_nm", "posterior_min", "posterior_nm")))))
+                *(series.tolist() for series in vars(cell.series).values()))))  # field order
 
     _write_csv(target("scatter_data.csv"),
                ["cell_id", *key, "rep", "posterior_min", "posterior_nm"],
@@ -475,7 +475,7 @@ _REPORT_EVALUATED, _REPORT_NOT_EVALUATED = (
     "\n".join(json.dumps({"reports": [entry]}, indent=2, sort_keys=True).splitlines()[2:-2])
     .lstrip().replace('"%s"', "%s")
     for entry in ({**_slots(ReportedStat), "span": ["%s", "%s"], **members} for members in (
-        {"design": {"k": "%s", "n": "%s"}, "error": None,  # minimal_rm: parse's only route
+        {"design": _slots(DesignSpec), "error": None,  # minimal_rm: parse's only route
          "evidence": {**_slots(EvidenceResult), "method": Method.MINIMAL_RM.value}},
         {"design": None, "error": "%s", "evidence": None})))
 _JSON_BOOL = {False: "false", True: "true"}

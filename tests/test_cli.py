@@ -24,13 +24,16 @@ from hypothesis import given, settings, strategies as st
 
 from rmbayes import SimulationConfig, run_cell, run_grid
 from rmbayes import cli
+from rmbayes.anova import AnovaTable
 from rmbayes.apa import ReportedStat, infer_rm_design, parse_reports
 from rmbayes.bayes import DesignSpec, EvidenceResult, _saturating_exp, bf01_minimal_rm
 from rmbayes.cli import _report_entry_json, main
 from rmbayes.errors import DomainError
+from rmbayes.simulate import CellResult, FiveNumberSummary, GridReport
 
 from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
-                      count_forks, decimal_log_bf01_between, fake_cpus, open_fds)
+                      count_forks, decimal_log_bf01_between, fake_cpus, load_report_schema,
+                      open_fds)
 
 
 @pytest.fixture()
@@ -643,6 +646,21 @@ class TestSimulate:
                   for d in (first, second, hexed)]
         assert parsed[0] == parsed[1] == parsed[2]
 
+    def test_seed_is_an_unsigned_64_bit_integer_in_the_schema(self, runner, tmp_path):
+        import jsonschema
+
+        invoke(runner, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0", "--reps", "2",
+                        "--seed", "0xFFFFFFFFFFFFFFFF", "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "grid_report.json").read_text())
+        assert report["manifest"]["seed"] == report["grid"]["master_seed"] == 2 ** 64 - 1
+        assert_schema_valid(report)
+        for member, key in ((report["manifest"], "seed"), (report["grid"], "master_seed")):
+            for seed in (None, 2 ** 64, -1):
+                member[key] = seed
+                with pytest.raises(jsonschema.ValidationError):
+                    assert_schema_valid(report)
+            member[key] = 2 ** 64 - 1
+
     def test_parallel_workers_identical(self, runner, tmp_path):
         self.run_smoke(runner, tmp_path / "seq")
         self.run_smoke(runner, tmp_path / "par", extra=["--workers", "2"])
@@ -1201,6 +1219,36 @@ class TestParse:
         assert set(evaluated["evidence"]) == {field.name for field in fields(EvidenceResult)}
         assert evaluated["design"] == {"n": 20, "k": 3} and evaluated["span"] == [3, 15]
         assert unevaluated["error"] == "no design" and unevaluated["evidence"] is None
+
+
+class TestSchemaKeys:
+    """Each report-v1 object that a writer builds from dataclass fields lists those
+    fields' members, every one required: a new field fails here until the schema has
+    it, and a schema member that no field writes fails too."""
+
+    @pytest.mark.parametrize("path", ["evidence", "anova_table", "design", "five_number",
+                                      "cell", "grid_report.grid", "parsed_report_entry"])
+    def test_schema_objects_track_the_dataclasses(self, path):
+        def members(cls, *left_out):
+            return {cli._JSON_NAMES.get(field.name, field.name) for field in fields(cls)
+                    if field.name not in left_out}
+
+        expected = {
+            "evidence": members(EvidenceResult),
+            "anova_table": members(AnovaTable),
+            "design": members(DesignSpec),
+            "five_number": members(FiveNumberSummary),
+            "cell": {"cell_id"} | members(SimulationConfig, "master_seed", "spacing")
+                    | members(CellResult, "config", "series"),
+            "grid_report.grid": members(GridReport, "cells"),
+            "parsed_report_entry": members(ReportedStat) | {"design", "error", "evidence"},
+        }[path]
+        name, *nested = path.split(".")
+        schema_object = load_report_schema()["$defs"][name]
+        for member in nested:
+            schema_object = schema_object["properties"][member]
+        assert set(schema_object["properties"]) == set(schema_object["required"]) == expected
+        assert schema_object["additionalProperties"] is False
 
 
 # Cut into 5 parts, this text is cut inside a report, between an F and its "(", and

@@ -10,9 +10,11 @@ numpy ``RuntimeWarning`` breaks the contract too.
 
 ``rm_anova`` takes matrices of those scalars, whose degrees of freedom are
 small enough for its p-value to converge. ``f_cdf`` is left out of the
-properties: past about 4e9 degrees of freedom its continued fraction reaches
-its step ceiling (or overflows to NaN) and stops with RuntimeError, which is an
-open accuracy item of its own (ROADMAP item 2); its named inputs are here.
+properties: once both degrees of freedom pass about 1.5e11 (``f_cdf(1, d, d)``
+raises from d = 1.54e11, while with df1 up to 1e6 no df2 up to 5.6e14 does),
+its continued fraction reaches its step ceiling (or overflows to NaN) and stops
+with RuntimeError within milliseconds, which is an open accuracy item of its
+own (ROADMAP item 2); its named inputs are here.
 """
 
 import math
