@@ -171,7 +171,10 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     ------
     DomainError
         For x < 0, NaN x, degrees of freedom not positive and finite, or an
-        argument that is not a real number (``bool`` included) or is past the float range.
+        argument that is not a real number (``bool`` included) or is past the float range;
+        and for degrees of freedom too large to evaluate: the continued fraction reaches
+        its step ceiling (``f_cdf(1, d, d)`` from d = 1.54e11) or ``lgamma(df1/2 + df2/2)``
+        passes the float range (df1 + df2 from about 5e305).
     """
     d1, d2 = real("df1", df1), real("df2", df2)
     if not (0 < d1 < math.inf and 0 < d2 < math.inf):
@@ -183,7 +186,11 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     t = d1 * f
     if t == math.inf:  # x or df1 * x beyond the float range: the limit
         return 1.0
-    return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2), d2 / (t + d2))
+    try:
+        return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2), d2 / (t + d2))
+    except (OverflowError, RuntimeError):  # lgamma's float range; Lentz's step ceiling
+        raise DomainError("degrees of freedom too large to evaluate, "
+                          f"got ({df1!r}, {df2!r})") from None
 
 
 def _reg_incomplete_beta(a: float, b: float, x: float, y: float) -> float:

@@ -199,10 +199,23 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n: int, k: int, prior_h0: floa
     _report(as_json, {"evidence": vars(result)}, lines)
 
 
+def _read_text(binary, name: str) -> str:
+    """The whole of the open binary file ``binary``, then closed, as UTF-8 text with
+    universal newlines, whatever the locale. A byte that is not UTF-8 is a DomainError
+    that names its offset in the file ``name``."""
+    try:
+        with io.TextIOWrapper(binary, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole input at once, so exc.start is its byte offset
+        raise DomainError(f"{name}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 def _read_wide_csv(path: str) -> np.ndarray:
     """Wide-format CSV: header row, one row per subject, k numeric columns, as an
     n-by-k float64 array. numpy's C reader takes the common case; whatever it
-    rejects, ``_read_csv_rows`` reads and decides.
+    rejects is read row by row: blank rows are skipped, cells are read by ``float``,
+    and each error names the file line.
     Content problems raise DomainError; OSError propagates."""
     import numpy as np
 
@@ -222,26 +235,15 @@ def _read_wide_csv(path: str) -> np.ndarray:
                     return values
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             pass
-    return np.array(_read_csv_rows(path))
-
-
-def _read_csv_rows(path: str) -> list[list[float]]:
-    """``_read_wide_csv`` row by row: blank rows are skipped, cells are read by
-    ``float``, and each error names the file line."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
-        try:
-            rows = [(reader.line_num, row) for row in reader
-                    if any(cell.strip() for cell in row)]
-        except UnicodeDecodeError as exc:
-            # exc.object is the chunk being decoded; it ends where the buffer stands
-            offset = handle.buffer.tell() - len(exc.object) + exc.start
-            raise DomainError(f"{path}: not valid UTF-8 at byte {offset} ({exc.reason})") from None
-        except csv.Error as exc:
-            raise DomainError(f"line {reader.line_num}: {exc}") from None
-        finally:
-            csv.field_size_limit(limit)
+    # StringIO ends lines at "\n" alone, not also at \v or \f as str.splitlines does
+    reader = csv.reader(io.StringIO(_read_text(open(path, "rb"), path)))
+    limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
+    try:
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise DomainError(f"line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if len(rows) < 3:
         raise DomainError("CSV needs a header row and at least 2 subject rows")
     width = len(rows[0][1])
@@ -253,7 +255,7 @@ def _read_csv_rows(path: str) -> list[list[float]]:
             data.append([float(cell) for cell in row])
         except ValueError:
             raise DomainError(f"line {line} contains a non-numeric cell") from None
-    return data
+    return np.array(data)
 
 
 def _render_anova_table(table) -> list[str]:
@@ -525,15 +527,9 @@ def cmd_parse(text_path: str, assume_rm: bool, prior_h0: float, as_json: bool) -
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
     _check_prior(prior_h0)
-    try:  # stdin is read as a file is: UTF-8 whatever the locale, with universal newlines
-        with (open(text_path, encoding="utf-8") if text_path != "-" else
-              io.TextIOWrapper(click.get_binary_stream("stdin"), encoding="utf-8")) as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole input at once, so exc.start is its byte offset
-        raise DomainError(f"{text_path}: not valid UTF-8 at byte {exc.start} "
-                          f"({exc.reason})") from None
-    text = text.replace("\u2212", "-")  # one character for one, so spans still index the input
+    text = _read_text(open(text_path, "rb") if text_path != "-" else
+                      click.get_binary_stream("stdin"), text_path)
+    text = text.replace("\u2212", "-")  # one character for one, so spans still index the text
 
     if as_json:
         # the entries go in place of one "%s" in "reports", the last key

@@ -597,7 +597,7 @@ class TestAnova:
         assert result.exit_code == 3
 
     def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path):
-        # past the first 8 KiB, so the error comes from a later decoded chunk
+        # past the first 8 KiB: the offset counts from the file's start, not a buffer's
         head = b"a,b\n" + b"1.25,2.5\n" * 2000
         path = tmp_path / "latin1.csv"
         path.write_bytes(head + b"3,\xff\n")
@@ -605,6 +605,15 @@ class TestAnova:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {path}: ")
         assert f"byte {len(head) + 2} " in result.stderr
+
+    def test_non_utf8_offset_counts_crlf_as_two_bytes(self, runner, tmp_path):
+        # the offset counts the file's bytes, a CRLF as two, not the decoded text's
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,b\r\n" + b"1.25,2.5\r\n" * 2000 + b"3,\xff\r\n")
+        result = runner.invoke(main, ["anova", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {path}: not valid UTF-8 at byte 20007 "
+                                 "(invalid start byte)\n")
 
 
 class TestSimulate:
@@ -1099,9 +1108,13 @@ class TestParse:
         result = runner.invoke(main, ["parse", str(tmp_path / "absent.txt")])
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
-    def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path, from_stdin):
-        raw = "F(1, 22) = 1.336, p = .26 – ".encode("utf-8") + b"\xff F(2, 38) = 3.1"
+    @pytest.mark.parametrize("from_stdin, raw", [
+        (from_stdin, raw) for raw in (
+            "F(1, 22) = 1.336, p = .26 – ".encode("utf-8") + b"\xff F(2, 38) = 3.1",
+            # the offset counts the input's bytes, a CRLF as two, not the decoded text's
+            b"Means: F(2, 38) = 3.5, p = .04.\r\n" * 400 + b"\xff F(1, 20) = 2\r\n")
+        for from_stdin in (False, True)], ids=["file", "stdin", "crlf-file", "crlf-stdin"])
+    def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path, from_stdin, raw):
         path = tmp_path / "latin1.txt"
         path.write_bytes(raw)
         if from_stdin:

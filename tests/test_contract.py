@@ -9,12 +9,12 @@ line and no traceback. The suite's filters make every warning an error, so a
 numpy ``RuntimeWarning`` breaks the contract too.
 
 ``rm_anova`` takes matrices of those scalars, whose degrees of freedom are
-small enough for its p-value to converge. ``f_cdf`` is left out of the
-properties: once both degrees of freedom pass about 1.5e11 (``f_cdf(1, d, d)``
-raises from d = 1.54e11, while with df1 up to 1e6 no df2 up to 5.6e14 does),
-its continued fraction reaches its step ceiling (or overflows to NaN) and stops
-with RuntimeError within milliseconds, which is an open accuracy item of its
-own (ROADMAP item 2); its named inputs are here.
+small enough for its p-value to converge. ``f_cdf`` takes those scalars too, and
+raises DomainError for degrees of freedom too large to evaluate: once both pass
+about 1.5e11 (``f_cdf(1, d, d)`` from d = 1.54e11, while with df1 up to 1e6 no
+df2 up to 5.6e14 does) its continued fraction reaches its step ceiling within
+milliseconds, and once df1 + df2 passes about 5e305 ``lgamma`` overflows. Its
+accuracy at large degrees of freedom is an open item of its own (ROADMAP item 2).
 """
 
 import math
@@ -137,6 +137,13 @@ class TestScalarProperty:
             assert_evidence(result)
 
     @FUZZ
+    @given(x=SCALARS, df1=COUNTS, df2=COUNTS)
+    def test_f_cdf(self, x, df1, df2):
+        value = value_or_domain_error(lambda: f_cdf(x, df1, df2))
+        if value is not None:
+            assert type(value) is float and 0.0 <= value <= 1.0, value
+
+    @FUZZ
     @given(f=SCALARS, n=COUNTS, k=COUNTS, prior=SCALARS)
     def test_bf01_minimal_rm(self, f, n, k, prior):
         result = value_or_domain_error(lambda: bf01_minimal_rm(f, DesignSpec(n, k), prior))
@@ -197,6 +204,13 @@ class TestNamedInputs:
         pytest.param(lambda: bf01_minimal_rm(2.0, DesignSpec(10, 3),
                                              prior_h0=Fraction(1, 10 ** 400)),
                      "prior_h0 must lie strictly between 0 and 1", id="prior-underflows"),
+        # lgamma(df1/2 + df2/2) passed the float range: OverflowError before
+        pytest.param(lambda: f_cdf(1, 2, 1e306), "too large to evaluate, got (2, 1e+306)",
+                     id="f_cdf-huge-df2"),
+        pytest.param(lambda: f_cdf(1, 1e306, 2), "too large to evaluate, got (1e+306, 2)",
+                     id="f_cdf-huge-df1"),
+        pytest.param(lambda: f_cdf(0.5, 1e308, 1e308),
+                     "too large to evaluate, got (1e+308, 1e+308)", id="f_cdf-huge-dfs"),
         pytest.param(lambda: f_cdf(1.0, np.float16(3), np.longdouble("1e400")),
                      "df2 = 1e+400 lies beyond the float range", id="f_cdf-longdouble-df"),
         pytest.param(lambda: SimulationConfig(n=10, rho=Fraction(10 ** 400, 3), delta=0.5),

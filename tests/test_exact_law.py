@@ -22,15 +22,21 @@ lambda(u) = n delta^2 (2/3)(1 - u + u^2) / (1 - rho)
 and the minimal route's exact P(H0) is the mean over u of the noncentral F CDF
 at F*.  The cells, the replication counts, the seed and every bound were fixed
 before the first run.
+
+The positions of the interior condition means, (ybar_j - ybar_0) / (ybar_{k-1} -
+ybar_0), are the sorted uniforms of the profile draw: U(0, 1) at k = 3, and at
+k = 5 mean j is the j-th of three sorted uniforms, Beta(j, k-1-j).  At delta =
+1e4 the noise in the column-mean differences moves them by about 1e-4.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from rmbayes import SimulationConfig, run_cell
+from rmbayes import SimulationConfig, generate_dataset, run_cell
 from rmbayes.anova import _decompose
 from rmbayes.simulate import _draw
 
@@ -52,6 +58,9 @@ CHI2_TAIL = 1e-10
 UNIFORM_CELLS = list(itertools.product((20, 50, 80), (0.2, 0.8), (0.0, 0.2, 0.5)))
 UNIFORM_REPS = 1000
 CHI2_18_999 = 42.31  # the 0.999 quantile of chi-squared with 18 df
+POSITION_REPS = 1000
+POSITION_SEED = 20261020
+POSITION_ALPHA = 1e-6  # per KS test, under the null law
 
 
 def noncentrality(k: int, n: int, rho: float, delta: float) -> float:
@@ -200,3 +209,15 @@ def test_minimal_accuracy_under_uniform_spacing_matches_its_exact_value():
         z_squared.append((run_cell(config).accuracy_min - expected) ** 2
                          / (expected * (1.0 - expected) / UNIFORM_REPS))
     assert sum(z_squared) <= CHI2_18_999
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_interior_means_lie_as_sorted_uniforms(k):
+    config = SimulationConfig(n=2, rho=0.5, delta=1e4, k=k, master_seed=POSITION_SEED,
+                              spacing="uniform")
+    means = np.array([generate_dataset(config, rep).mean(axis=0)
+                      for rep in range(POSITION_REPS)])
+    positions = (means[:, 1:-1] - means[:, :1]) / (means[:, -1:] - means[:, :1])
+    p_values = [stats.kstest(positions[:, j - 1], stats.beta(j, k - 1 - j).cdf).pvalue
+                for j in range(1, k - 1)]  # Beta(1, 1) is U(0, 1)
+    assert min(p_values) > POSITION_ALPHA, p_values
