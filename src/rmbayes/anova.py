@@ -186,8 +186,10 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     t = d1 * f
     if t == math.inf:  # x or df1 * x beyond the float range: the limit
         return 1.0
+    # where t + df2 overflows, x and y from their halves, exact at that size
+    p, q = (t, d2) if t + d2 < math.inf else (0.5 * t, 0.5 * d2)
     try:
-        return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, t / (t + d2), d2 / (t + d2))
+        return _reg_incomplete_beta(0.5 * d1, 0.5 * d2, p / (p + q), q / (p + q))
     except (OverflowError, RuntimeError):  # lgamma's float range; Lentz's step ceiling
         raise DomainError("degrees of freedom too large to evaluate, "
                           f"got ({df1!r}, {df2!r})") from None

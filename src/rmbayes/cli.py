@@ -5,6 +5,7 @@ This module alone turns the library's result dataclasses into the report-v1
 JSON and the CSV files. A report object's members are its dataclass's fields
 (``minimum``/``maximum`` as ``min``/``max``; a cell leaves out ``master_seed``,
 ``spacing`` and ``series``), which tests/test_cli.py ties to the schema.
+``simulate``'s files are each a name and its lines, written in order by one loop.
 
 Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure;
 the process leaves by ``run`` alone.
@@ -323,14 +324,6 @@ def _number_list(cast, label: str):
     return parse
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """The header line, then each block of whole lines. Callers write csv.writer's
-    bytes: a float by repr, an int by str, None as "", and no cell needs quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(blocks)
-
-
 _JSON_NAMES = {"minimum": "min", "maximum": "max"}  # FiveNumberSummary's, in report-v1
 
 
@@ -341,40 +334,26 @@ def _members(result, *left_out: str) -> dict:
             for name, value in vars(result).items() if name not in left_out}
 
 
-def _grid_json(report: GridReport) -> dict:
-    """The report-v1 ``grid`` and ``cells`` members of a simulation report."""
+def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) -> list[str]:
+    """Write each grid file into ``out_dir``, header first, and return the names in order. A CSV
+    line has csv.writer's bytes, no cell quoted: a float by repr, an int by str, None as ""."""
+    key = ["delta", "rho", "n"]
     cells = [{"cell_id": cell.cell_id, **_members(cell.config, "master_seed", "spacing"),
               **_members(cell, "config", "series")} for cell in report.cells]
-    return {"grid": _members(report, "cells"), "cells": cells}
+    boxplots = [{**cell, "method": method, **cell[f"posterior_quantiles_{suffix}"]}
+                for cell in cells
+                for method, suffix in (("minimal_rm", "min"), ("nathoo_masson", "nm"))]
 
+    def lines(header: list[str], blocks):
+        """The header line, then each block of whole lines."""
+        yield ",".join(header) + "\n"
+        yield from blocks
 
-def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def target(name: str) -> str:
-        written.append(name)
-        return os.path.join(out_dir, name)
-
-    grid = _grid_json(report)
-    with open(target("grid_report.json"), "w", encoding="utf-8") as handle:
-        handle.write(_report_json(grid) + "\n")
-
-    # each summary table lists, per record, the values of its columns
-    key = ["delta", "rho", "n"]
-    cells = grid["cells"]
-    boxplot_records = [{**cell, "method": method, **cell[f"posterior_quantiles_{suffix}"]}
-                       for cell in cells
-                       for method, suffix in (("minimal_rm", "min"), ("nathoo_masson", "nm"))]
-    for name, columns, records in (
-            ("table2.csv", ["accuracy_min", "accuracy_nm"], cells),
-            ("table3.csv", ["consistency"], cells),
-            ("table4.csv", ["posterior_correlation"], cells),
-            ("boxplot_data.csv", ["method", *cells[0]["posterior_quantiles_min"]],
-             boxplot_records)):
-        _write_csv(target(name), key + columns, (
-            ",".join("" if record[column] is None else str(record[column])
-                     for column in key + columns) + "\n" for record in records))
+    def table(columns: list[str], records):
+        """A summary table: per record, the values of ``key`` and ``columns``."""
+        columns = key + columns
+        return lines(columns, (",".join("" if record[column] is None else str(record[column])
+                                        for column in columns) + "\n" for record in records))
 
     # the per-replication files: one cell's lines at a time, each from the cell's template
     def scatter_lines(cell) -> str:
@@ -392,14 +371,25 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
             for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(zip(
                 *(series.tolist() for series in vars(cell.series).values()))))  # field order
 
-    _write_csv(target("scatter_data.csv"),
-               ["cell_id", *key, "rep", "posterior_min", "posterior_nm"],
-               map(scatter_lines, report.cells))
+    files = {
+        "grid_report.json": [_report_json({"grid": _members(report, "cells"), "cells": cells})
+                             + "\n"],
+        "table2.csv": table(["accuracy_min", "accuracy_nm"], cells),
+        "table3.csv": table(["consistency"], cells),
+        "table4.csv": table(["posterior_correlation"], cells),
+        "boxplot_data.csv": table(["method", *cells[0]["posterior_quantiles_min"]], boxplots),
+        "scatter_data.csv": lines(["cell_id", *key, "rep", "posterior_min", "posterior_nm"],
+                                  map(scatter_lines, report.cells)),
+    }
     if emit_per_rep:
-        _write_csv(target("per_rep.csv"), ["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
-                                           "posterior_min", "posterior_nm", "choice_min",
-                                           "choice_nm"], map(per_rep_lines, report.cells))
-    return written
+        files["per_rep.csv"] = lines(["cell_id", "rep", "f_stat", "bf01_min", "bf01_nm",
+                                      "posterior_min", "posterior_nm", "choice_min", "choice_nm"],
+                                     map(per_rep_lines, report.cells))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, file_lines in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as handle:
+            handle.writelines(file_lines)
+    return list(files)
 
 
 @main.command("simulate")

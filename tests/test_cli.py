@@ -622,15 +622,21 @@ class TestSimulate:
                 "--out-dir", str(out_dir), *extra]
         return invoke(runner, args)
 
+    NAMES = ["grid_report.json", "table2.csv", "table3.csv", "table4.csv", "boxplot_data.csv",
+             "scatter_data.csv"]
+
+    def assert_wrote(self, result, out_dir, names):
+        """stdout's first line names exactly the files in ``out_dir``, in the order written."""
+        assert result.stdout.splitlines()[0] == f"wrote {', '.join(names)} in {out_dir}"
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(names)
+
     def test_smoke_run_writes_all_files_quickly(self, runner, tmp_path):
         started = time.monotonic()
         result = self.run_smoke(runner, tmp_path / "out")
         elapsed = time.monotonic() - started
         assert result.exit_code == 0
         assert elapsed < 5.0
-        names = {"grid_report.json", "table2.csv", "table3.csv", "table4.csv",
-                 "boxplot_data.csv", "scatter_data.csv"}
-        assert {p.name for p in (tmp_path / "out").iterdir()} == names
+        self.assert_wrote(result, tmp_path / "out", self.NAMES)
         report = json.loads((tmp_path / "out" / "grid_report.json").read_text())
         assert_schema_valid(report)
         assert len(report["cells"]) == 18
@@ -697,7 +703,8 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     def test_per_rep_emission(self, runner, tmp_path):
-        self.run_smoke(runner, tmp_path / "out", extra=["--emit-per-rep"])
+        result = self.run_smoke(runner, tmp_path / "out", extra=["--emit-per-rep"])
+        self.assert_wrote(result, tmp_path / "out", [*self.NAMES, "per_rep.csv"])
         lines = (tmp_path / "out" / "per_rep.csv").read_text().splitlines()
         assert lines[0] == ("cell_id,rep,f_stat,bf01_min,bf01_nm,"
                             "posterior_min,posterior_nm,choice_min,choice_nm")

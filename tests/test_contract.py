@@ -211,6 +211,15 @@ class TestNamedInputs:
                      id="f_cdf-huge-df1"),
         pytest.param(lambda: f_cdf(0.5, 1e308, 1e308),
                      "too large to evaluate, got (1e+308, 1e+308)", id="f_cdf-huge-dfs"),
+        # df1 * x + df2 overflows: x and y were both 0, and the CDF read 0
+        pytest.param(lambda: f_cdf(1, 1e308, 1e308),
+                     "too large to evaluate, got (1e+308, 1e+308)", id="f_cdf-sum-overflows"),
+        pytest.param(lambda: f_cdf(1e308, 1, 1e308), "too large to evaluate, got (1, 1e+308)",
+                     id="f_cdf-huge-x-and-df2"),
+        pytest.param(lambda: f_cdf(1.7976931348623157e308, 1, 1e293),
+                     "too large to evaluate, got (1, 1e+293)", id="f_cdf-max-x-df2-1e293"),
+        pytest.param(lambda: f_cdf(1.7976931348623157e308, 1, 1e300),
+                     "too large to evaluate, got (1, 1e+300)", id="f_cdf-max-x-df2-1e300"),
         pytest.param(lambda: f_cdf(1.0, np.float16(3), np.longdouble("1e400")),
                      "df2 = 1e+400 lies beyond the float range", id="f_cdf-longdouble-df"),
         pytest.param(lambda: SimulationConfig(n=10, rho=Fraction(10 ** 400, 3), delta=0.5),

@@ -26,7 +26,9 @@ before the first run.
 The positions of the interior condition means, (ybar_j - ybar_0) / (ybar_{k-1} -
 ybar_0), are the sorted uniforms of the profile draw: U(0, 1) at k = 3, and at
 k = 5 mean j is the j-th of three sorted uniforms, Beta(j, k-1-j).  At delta =
-1e4 the noise in the column-mean differences moves them by about 1e-4.
+1e4 the noise in the column-mean differences moves them by about 1e-4.  The
+profile and the data are drawn from separate substreams of a replication's seed,
+so at k = 3 the position is independent of the subject effects.
 """
 
 import itertools
@@ -61,6 +63,9 @@ CHI2_18_999 = 42.31  # the 0.999 quantile of chi-squared with 18 df
 POSITION_REPS = 1000
 POSITION_SEED = 20261020
 POSITION_ALPHA = 1e-6  # per KS test, under the null law
+DEPENDENCE_REPS = 10 ** 5
+DEPENDENCE_SEED = 20261021
+DEPENDENCE_ALPHA = 1e-6  # under the null law of independence
 
 
 def noncentrality(k: int, n: int, rho: float, delta: float) -> float:
@@ -221,3 +226,25 @@ def test_interior_means_lie_as_sorted_uniforms(k):
     p_values = [stats.kstest(positions[:, j - 1], stats.beta(j, k - 1 - j).cdf).pvalue
                 for j in range(1, k - 1)]  # Beta(1, 1) is U(0, 1)
     assert min(p_values) > POSITION_ALPHA, p_values
+
+
+def rank_deciles(values: np.ndarray) -> np.ndarray:
+    """Each value's decile, 0 to 9, by its rank among ``values``."""
+    return np.argsort(np.argsort(values, kind="stable"), kind="stable") * 10 // len(values)
+
+
+def test_profile_draw_is_independent_of_the_data_draw():
+    # the profile's uniform and the data normals come from substreams of one replication
+    # seed; were they one stream, u would follow the first subject effects
+    config = SimulationConfig(n=2, rho=0.5, delta=1e4, k=3, reps=DEPENDENCE_REPS,
+                              master_seed=DEPENDENCE_SEED, spacing="uniform")
+    positions, differences = [], []
+    for _, data in _draw(config, 0, DEPENDENCE_REPS):  # each block's view is overwritten
+        means = data.mean(axis=1)
+        positions.append((means[:, 1] - means[:, 0]) / (means[:, 2] - means[:, 0]))
+        rows = data.mean(axis=2)
+        differences.append(rows[:, 0] - rows[:, 1])
+    u, d = np.concatenate(positions), np.concatenate(differences)
+    table = np.bincount(rank_deciles(u) * 10 + rank_deciles(d), minlength=100).reshape(10, 10)
+    _, p_value, _, _ = stats.chi2_contingency(table)
+    assert p_value > DEPENDENCE_ALPHA, p_value
