@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from contextlib import closing, suppress
 from dataclasses import fields, is_dataclass
@@ -93,27 +94,6 @@ def _report_json(payload: dict) -> str:
 def _report(as_json: bool, payload: dict, lines: list[str]) -> None:
     """Echo the report-v1 document of ``payload``, or else the text ``lines``."""
     click.echo(_report_json(payload) if as_json else "\n".join(lines))
-
-
-class UInt64(click.ParamType):
-    """Unsigned 64-bit integer, accepted as decimal or 0x-prefixed hex."""
-
-    name = "uint64"
-
-    def convert(self, value, param, ctx):
-        digits = re.fullmatch(r"0[xX]([0-9a-fA-F]+)|0*([0-9]+)", str(value))
-        if isinstance(value, int):
-            parsed = value
-        elif digits:  # 0x-hex, or decimal after leading zeros: 21 digits already pass 2**64
-            parsed = int(digits[1], 16) if digits[1] else int(digits[2][:21])
-        else:
-            self.fail(f"{value!r} is not a decimal or 0x-hex integer", param, ctx)
-        if not 0 <= parsed < 2 ** 64:
-            self.fail(f"{value!r} does not fit in an unsigned 64-bit integer", param, ctx)
-        return parsed
-
-
-UINT64 = UInt64()
 
 
 _METHOD_LABELS = {
@@ -214,28 +194,29 @@ def _read_text(binary, name: str) -> str:
 
 def _read_wide_csv(path: str) -> np.ndarray:
     """Wide-format CSV: header row, one row per subject, k numeric columns, as an
-    n-by-k float64 array. numpy's C reader takes the common case; whatever it
-    rejects is read row by row: blank rows are skipped, cells are read by ``float``,
-    and each error names the file line.
-    Content problems raise DomainError; OSError propagates."""
+    n-by-k float64 array. numpy's C reader takes a regular file's common case; whatever
+    it rejects, and a pipe or FIFO, which a second open would not read again, is read
+    once, row by row: blank rows are skipped, cells are read by ``float``, and each
+    error names the file line. Content problems raise DomainError; OSError propagates."""
     import numpy as np
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            first = next(handle, "")
-            # left to the row reader: no data row or a blank first one (loadtxt warns),
-            # a header over more lines than the one loadtxt skips, and a name loadtxt
-            # opens as compressed (.gz, .bz2, .xz, .lzma) or as a URL (://)
-            if (any(cell.strip() for cell in header) and first.strip() and reader.line_num == 1
-                    and not re.search(r"://|\.(gz|bz2|xz|lzma)\Z", os.fspath(path))):
-                values = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
-                                    skiprows=1, encoding="utf-8", ndmin=2)
-                if len(values) >= 2 and values.shape[1] == len(header):
-                    return values
-        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            pass
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, newline="", encoding="utf-8") as handle:
+            try:
+                reader = csv.reader(handle)
+                header = next(reader, [])
+                first = next(handle, "")
+                # left to the row reader: no data row or a blank first one (loadtxt warns),
+                # a header over more lines than the one loadtxt skips, and a name loadtxt
+                # opens as compressed (.gz, .bz2, .xz, .lzma) or as a URL (://)
+                if (any(cell.strip() for cell in header) and first.strip() and reader.line_num == 1
+                        and not re.search(r"://|\.(gz|bz2|xz|lzma)\Z", os.fspath(path))):
+                    values = np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                                        skiprows=1, encoding="utf-8", ndmin=2)
+                    if len(values) >= 2 and values.shape[1] == len(header):
+                        return values
+            except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+                pass
     # StringIO ends lines at "\n" alone, not also at \v or \f as str.splitlines does
     reader = csv.reader(io.StringIO(_read_text(open(path, "rb"), path)))
     limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
@@ -324,6 +305,18 @@ def _number_list(cast, label: str):
     return parse
 
 
+def _uint64(ctx, param, raw: str) -> int:
+    """A click callback reading an unsigned 64-bit integer, decimal or 0x-prefixed hex."""
+    digits = re.fullmatch(r"0[xX]([0-9a-fA-F]+)|0*([0-9]+)", raw)
+    if not digits:
+        raise click.BadParameter(f"{raw!r} is not a decimal or 0x-hex integer", ctx, param)
+    # 0x-hex, or decimal after leading zeros: 21 digits already pass 2**64
+    value = int(digits[1], 16) if digits[1] else int(digits[2][:21])
+    if value >= 2 ** 64:
+        raise click.BadParameter(f"{raw!r} does not fit in an unsigned 64-bit integer", ctx, param)
+    return value
+
+
 _JSON_NAMES = {"minimum": "min", "maximum": "max"}  # FiveNumberSummary's, in report-v1
 
 
@@ -404,7 +397,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
               help="Number of repeated-measures conditions.")
 @click.option("--reps", type=int, default=1000, show_default=True,
               help="Replications per cell.")
-@click.option("--seed", type=UINT64, default=0, show_default=True,
+@click.option("--seed", default="0", metavar="UINT64", show_default=True, callback=_uint64,
               help="Master seed (decimal or 0x-hex).")
 @click.option("--spacing", type=click.Choice(["uniform", "equal"]), default="uniform",
               show_default=True,

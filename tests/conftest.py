@@ -5,6 +5,7 @@ schema loading."""
 from __future__ import annotations
 
 import csv
+import errno
 import importlib.resources
 import json
 import math
@@ -215,6 +216,13 @@ def count_forks(monkeypatch) -> list[int]:
 def fake_cpus(monkeypatch, cpus: int) -> None:
     """Make ``cpus`` CPUs usable by this process, as ``os.sched_getaffinity`` reports."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def refuse(monkeypatch, name: str) -> None:
+    """Make ``os.<name>`` fail with EAGAIN, as when the process or fd limits are reached."""
+    def refused(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(os, name, refused)
 
 
 def open_fds() -> set[str]:

@@ -12,6 +12,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import fields
@@ -33,7 +34,7 @@ from rmbayes.simulate import CellResult, FiveNumberSummary, GridReport
 
 from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
                       count_forks, decimal_log_bf01_between, fake_cpus, load_report_schema,
-                      open_fds)
+                      open_fds, refuse)
 
 
 @pytest.fixture()
@@ -427,6 +428,9 @@ def test_manifest_records_every_parameter(runner, tmp_path, args):
     assert set(report["manifest"]["params"]) == names
 
 
+_WIDE_TEXT = "a,b,c\n1,2,4\n2,4,5\n3,3,7\n4,6,6\n"
+
+
 class TestAnova:
     def test_reported_dataset_rendering(self, runner, tmp_path):
         path = tmp_path / "shift.csv"
@@ -595,6 +599,47 @@ class TestAnova:
     def test_missing_file_exit_3(self, runner, tmp_path):
         result = runner.invoke(main, ["anova", str(tmp_path / "absent.csv")])
         assert result.exit_code == 3
+
+    @staticmethod
+    def cli(args, **kwargs):
+        """``rmbayes args`` in a fresh interpreter, killed after 10 s."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "rmbayes.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=10, **kwargs)
+
+    def assert_reads_as_the_file(self, runner, tmp_path, result):
+        path = tmp_path / "wide.csv"
+        path.write_text(_WIDE_TEXT, encoding="utf-8")
+        expected = json.loads(invoke(runner, ["anova", str(path), "--bf", "--json"]).stdout)
+        assert (result.returncode, result.stderr) == (0, "")
+        payload = json.loads(result.stdout)
+        assert payload["anova"] == expected["anova"]
+        assert payload["evidence"] == expected["evidence"]
+
+    # a pipe or FIFO holds its bytes once: a second open of the path finds none, or waits
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_stdin_device_reads_as_the_file(self, runner, tmp_path):
+        result = self.cli(["anova", "/dev/stdin", "--bf", "--json"], input=_WIDE_TEXT)
+        self.assert_reads_as_the_file(runner, tmp_path, result)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_reads_as_the_file(self, runner, tmp_path):
+        fifo = tmp_path / "wide.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as writer:
+                writer.write(_WIDE_TEXT)
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            result = self.cli(["anova", str(fifo), "--bf", "--json"])
+        finally:  # a reader frees the writer if the CLI never opened the FIFO
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(reader)
+        self.assert_reads_as_the_file(runner, tmp_path, result)
 
     def test_non_utf8_exit_2_names_byte_offset(self, runner, tmp_path):
         # past the first 8 KiB: the offset counts from the file's start, not a buffer's
@@ -889,6 +934,10 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--seed", "banana",
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            "Error: Invalid value for '--seed': 'banana' is not a decimal or 0x-hex integer")
+        help_text = invoke(runner, ["simulate", "--help"]).stdout
+        assert re.search(r"^ *--seed UINT64 .*\[default: 0\]$", help_text, re.MULTILINE)
 
     def test_seed_with_leading_zeros_is_decimal(self, runner, tmp_path):
         for seed in ("10", "010"):
@@ -1376,6 +1425,22 @@ class TestParseSplit:
         assert len(pids) == 2
         assert parts.exit_code == 0
         assert parts.stdout == whole.stdout
+        self.assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("target", ["pipe", "fork"])
+    def test_a_failed_pipe_or_fork_renders_its_part_here(self, runner, monkeypatch, tmp_path,
+                                                          target):
+        path = tmp_path / "text.txt"
+        path.write_text(_SPLIT_TEXT, encoding="utf-8")
+        args = ["parse", str(path), "--json"]
+        whole = invoke(runner, args)
+        monkeypatch.setattr(cli, "_PART_CHARS", 1)
+        fake_cpus(monkeypatch, 3)
+        refuse(monkeypatch, target)
+        fds = self.open_fds()
+        parts = invoke(runner, args)
+        assert parts.exit_code == 0
+        assert without_timestamp(parts.stdout) == without_timestamp(whole.stdout)
         self.assert_nothing_left(fds)
 
     @pytest.mark.parametrize("target,code", [("pipe", 1), ("full", 3)])

@@ -29,6 +29,10 @@ k = 5 mean j is the j-th of three sorted uniforms, Beta(j, k-1-j).  At delta =
 1e4 the noise in the column-mean differences moves them by about 1e-4.  The
 profile and the data are drawn from separate substreams of a replication's seed,
 so at k = 3 the position is independent of the subject effects.
+
+Each replication's seed folds the master seed, the cell and the replication
+index, so F is independent across adjacent replications and adjacent master
+seeds; under H0 at n = 3, k = 2 each F follows F(1, 2).
 """
 
 import itertools
@@ -66,6 +70,8 @@ POSITION_ALPHA = 1e-6  # per KS test, under the null law
 DEPENDENCE_REPS = 10 ** 5
 DEPENDENCE_SEED = 20261021
 DEPENDENCE_ALPHA = 1e-6  # under the null law of independence
+ADJACENT_REPS = 10 ** 5
+ADJACENT_SEED = 20261020
 
 
 def noncentrality(k: int, n: int, rho: float, delta: float) -> float:
@@ -248,3 +254,21 @@ def test_profile_draw_is_independent_of_the_data_draw():
     table = np.bincount(rank_deciles(u) * 10 + rank_deciles(d), minlength=100).reshape(10, 10)
     _, p_value, _, _ = stats.chi2_contingency(table)
     assert p_value > DEPENDENCE_ALPHA, p_value
+
+
+def test_adjacent_replications_and_seeds_are_independent():
+    # a fold that dropped the low bit of the replication index or of the master seed
+    # would repeat each F across the pair
+    def f_values(master_seed, reps):
+        config = SimulationConfig(n=3, rho=0.5, delta=0.0, k=2, reps=reps,
+                                  master_seed=master_seed)
+        return run_cell(config).series.f_stat
+
+    f, half = f_values(ADJACENT_SEED, ADJACENT_REPS), ADJACENT_REPS // 2
+    pairs = {"replications 2j and 2j+1": (f[0::2], f[1::2]),
+             "adjacent master seeds": (f[:half], f_values(ADJACENT_SEED + 1, half))}
+    for name, (first, second) in pairs.items():
+        table = np.bincount(rank_deciles(first) * 10 + rank_deciles(second),
+                            minlength=100).reshape(10, 10)
+        chi2, p_value, _, _ = stats.chi2_contingency(table)
+        assert p_value > DEPENDENCE_ALPHA, (name, chi2, p_value)

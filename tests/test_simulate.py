@@ -41,7 +41,7 @@ from rmbayes.simulate import (
     _splitmix64,
 )
 
-from conftest import (assert_nothing_left, count_forks, fake_cpus, open_fds,
+from conftest import (assert_nothing_left, count_forks, fake_cpus, open_fds, refuse,
                       reference_dataset, reference_make_profile)
 
 
@@ -548,6 +548,17 @@ class TestRunGrid:
         fds, pids = open_fds(), count_forks(monkeypatch)
         assert run_grid(workers=3, **kwargs) == sequential
         assert len(pids) == 2
+        assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("target", ["pipe", "fork"])
+    def test_the_cells_of_a_failed_pipe_or_fork_run_here(self, monkeypatch, target):
+        kwargs = dict(n_values=(20, 30), rho_values=(0.2,), delta_values=(0.5,), reps=3,
+                      master_seed=5)
+        sequential = run_grid(workers=1, **kwargs)
+        fake_cpus(monkeypatch, 2)
+        refuse(monkeypatch, target)
+        fds = open_fds()
+        assert run_grid(workers=2, **kwargs) == sequential
         assert_nothing_left(fds)
 
     @pytest.mark.parametrize("n_values", [(20, 2 ** 50), (2 ** 50, 20)],
