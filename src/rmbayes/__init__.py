@@ -13,7 +13,7 @@ from .bayes import *
 from .errors import *
 
 # anova and simulate import numpy, so they load on first use; their public
-# names are listed here because reading their __all__ would import them
+# names are listed here, and each module's __all__ is read from this table
 _LAZY = {
     "anova": ("AnovaTable", "f_cdf", "rm_anova"),
     "simulate": ("CellResult", "FiveNumberSummary", "GridReport", "RepSeries",

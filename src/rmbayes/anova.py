@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _LAZY
 from .errors import DegenerateResidualError, DomainError, is_real, real
 
-__all__ = ["AnovaTable", "f_cdf", "rm_anova"]
+__all__ = list(_LAZY["anova"])
 
 # Relative threshold below which a sum of squares counts as exactly zero.
 # Guards the F ratio against 0/0 noise when SSR = SST - SSA - SSB cancels.

@@ -180,27 +180,28 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n: int, k: int, prior_h0: floa
     _report(as_json, {"evidence": vars(result)}, lines)
 
 
-def _read_text(binary, name: str) -> str:
-    """The whole of the open binary file ``binary``, then closed, as UTF-8 text with
-    universal newlines, whatever the locale. A byte that is not UTF-8 is a DomainError
-    that names its offset in the file ``name``."""
+def _read_text(path: str) -> str:
+    """The whole of the file ``path``, or of standard input for ``-``, then closed, as
+    UTF-8 text with universal newlines, whatever the locale. A byte that is not UTF-8 is
+    a DomainError that names its offset in the file."""
+    binary = click.get_binary_stream("stdin") if path == "-" else open(path, "rb")
     try:
         with io.TextIOWrapper(binary, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.start is its byte offset
-        raise DomainError(f"{name}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
+        raise DomainError(f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
 def _read_wide_csv(path: str) -> np.ndarray:
     """Wide-format CSV: header row, one row per subject, k numeric columns, as an
     n-by-k float64 array. numpy's C reader takes a regular file's common case; whatever
-    it rejects, and a pipe or FIFO, which a second open would not read again, is read
-    once, row by row: blank rows are skipped, cells are read by ``float``, and each
+    it rejects, and stdin (-), a pipe or a FIFO, which a second open would not read again,
+    is read once, row by row: blank rows are skipped, cells are read by ``float``, and each
     error names the file line. Content problems raise DomainError; OSError propagates."""
     import numpy as np
 
-    if stat.S_ISREG(os.stat(path).st_mode):
+    if path != "-" and stat.S_ISREG(os.stat(path).st_mode):
         with open(path, newline="", encoding="utf-8") as handle:
             try:
                 reader = csv.reader(handle)
@@ -218,7 +219,7 @@ def _read_wide_csv(path: str) -> np.ndarray:
             except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
                 pass
     # StringIO ends lines at "\n" alone, not also at \v or \f as str.splitlines does
-    reader = csv.reader(io.StringIO(_read_text(open(path, "rb"), path)))
+    reader = csv.reader(io.StringIO(_read_text(path)))
     limit = csv.field_size_limit(sys.maxsize)  # a cell of any length, as loadtxt reads
     try:
         rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
@@ -262,7 +263,7 @@ def _render_anova_table(table) -> list[str]:
 
 
 @main.command("anova")
-@click.argument("csv_path", type=click.Path(dir_okay=False))
+@click.argument("csv_path", type=click.Path(dir_okay=False, allow_dash=True))
 @click.option("--bf", is_flag=True, help="Append Bayes factors from both methods.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a machine-readable JSON report.")
 def cmd_anova(csv_path: str, bf: bool, as_json: bool) -> None:
@@ -510,8 +511,7 @@ def cmd_parse(text_path: str, assume_rm: bool, prior_h0: float, as_json: bool) -
     Reads TEXT_PATH, or standard input when the path is omitted or '-'.
     """
     _check_prior(prior_h0)
-    text = _read_text(open(text_path, "rb") if text_path != "-" else
-                      click.get_binary_stream("stdin"), text_path)
+    text = _read_text(text_path)
     text = text.replace("\u2212", "-")  # one character for one, so spans still index the text
 
     if as_json:

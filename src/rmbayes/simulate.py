@@ -63,22 +63,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _LAZY
 from ._parts import in_parts
 from .anova import _decompose
 from .bayes import DesignSpec, _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
 from .errors import DegenerateResidualError, DomainError, as_int, real
 
-__all__ = [
-    "CellResult",
-    "FiveNumberSummary",
-    "GridReport",
-    "RepSeries",
-    "SimulationConfig",
-    "generate_dataset",
-    "make_profile",
-    "run_cell",
-    "run_grid",
-]
+__all__ = list(_LAZY["simulate"])
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

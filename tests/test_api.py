@@ -1,6 +1,9 @@
 """The public API: exactly the names below, each importable from the package."""
 
 import importlib
+import inspect
+
+import pytest
 
 import rmbayes
 
@@ -51,11 +54,23 @@ def test_every_public_name_imports():
 
 
 def test_public_names_are_the_modules_all():
-    # the package lists the lazily loaded modules' names itself; they must match
+    # the lazily loaded modules read their __all__ from the package's table
     modules = [importlib.import_module(f"rmbayes.{name}")
                for name in ("anova", "apa", "bayes", "errors", "simulate")]
     assert rmbayes.__all__ == sorted(
         [name for module in modules for name in module.__all__] + ["__version__"])
+
+
+# errors is left out: its as_int, is_real and real are public in form, not in its list
+@pytest.mark.parametrize("name", ["anova", "simulate"])
+def test_lazy_table_lists_what_the_module_defines(name):
+    # the package's table is the module's __all__, so it must keep up with the module:
+    # every function and class the module defines without a leading underscore
+    module = importlib.import_module(f"rmbayes.{name}")
+    defined = [attr for attr, value in vars(module).items()
+               if (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == module.__name__ and not attr.startswith("_")]
+    assert sorted(defined) == sorted(module.__all__)
 
 
 def test_lazy_modules_resolve_as_attributes():

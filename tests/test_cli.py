@@ -617,6 +617,16 @@ class TestAnova:
         assert payload["anova"] == expected["anova"]
         assert payload["evidence"] == expected["evidence"]
 
+    def test_dash_reads_standard_input(self, runner, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(_WIDE_TEXT, encoding="utf-8")
+        expected = json.loads(invoke(runner, ["anova", str(path), "--bf", "--json"]).stdout)
+        result = runner.invoke(main, ["anova", "-", "--bf", "--json"], input=_WIDE_TEXT)
+        assert (result.exit_code, result.stderr) == (0, "")
+        payload = json.loads(result.stdout)
+        assert payload["anova"] == expected["anova"]
+        assert payload["evidence"] == expected["evidence"]
+
     # a pipe or FIFO holds its bytes once: a second open of the path finds none, or waits
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_stdin_device_reads_as_the_file(self, runner, tmp_path):
