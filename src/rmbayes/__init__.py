@@ -15,7 +15,7 @@ from .errors import *
 # anova and simulate import numpy, so they load on first use; their public
 # names are listed here, and each module's __all__ is read from this table
 _LAZY = {
-    "anova": ("AnovaTable", "f_cdf", "rm_anova"),
+    "anova": ("AnovaTable", "rm_anova"),
     "simulate": ("CellResult", "FiveNumberSummary", "GridReport", "RepSeries",
                  "SimulationConfig", "generate_dataset", "make_profile", "run_cell",
                  "run_grid"),

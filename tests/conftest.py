@@ -193,13 +193,6 @@ def build_two_condition_matrix(ss_treatment: float, ss_subjects: float,
     return np.column_stack([row_means + diffs / 2.0, row_means - diffs / 2.0])
 
 
-@pytest.fixture()
-def table1_matrix() -> np.ndarray:
-    """23x2 dataset whose decomposition reproduces SSA=739, SSB=103984,
-    SSR=12176 (SST=116399)."""
-    return build_two_condition_matrix(739.0, 103984.0, 12176.0, n=23)
-
-
 def count_forks(monkeypatch) -> list[int]:
     """The pids of the children ``os.fork`` makes from now on, as a list."""
     pids, fork = [], os.fork

@@ -62,10 +62,11 @@ def test_public_names_are_the_modules_all():
 
 
 # errors is left out: its as_int, is_real and real are public in form, not in its list
-@pytest.mark.parametrize("name", ["anova", "simulate"])
+@pytest.mark.parametrize("name", ["anova", "apa", "bayes", "simulate"])
 def test_lazy_table_lists_what_the_module_defines(name):
-    # the package's table is the module's __all__, so it must keep up with the module:
-    # every function and class the module defines without a leading underscore
+    # a module's __all__ (for anova and simulate, the package's table) must keep up with
+    # the module: it lists every function and class the module defines without a leading
+    # underscore, so a name that moves between modules moves between their lists too
     module = importlib.import_module(f"rmbayes.{name}")
     defined = [attr for attr, value in vars(module).items()
                if (inspect.isfunction(value) or inspect.isclass(value))

@@ -550,6 +550,19 @@ class TestAnova:
         assert result.exit_code == 2
         assert re.match(r"error: line 3\b", result.stderr)
 
+    @pytest.mark.parametrize("source", ["file", "-"])
+    def test_nul_byte_in_the_row_reader_exit_2_names_its_line(self, runner, tmp_path, source):
+        # the NUL is mid-cell, so both readers meet it: a file after loadtxt rejects it,
+        # and standard input at once; Python 3.10's csv raises there, 3.11 and later
+        # read the cell as not numeric
+        text = "a,b\n1,2\n3,\x004\n5,6\n"
+        path = tmp_path / "nul.csv"
+        path.write_text(text, encoding="utf-8")
+        arg = str(path) if source == "file" else "-"
+        result = runner.invoke(main, ["anova", arg], input=text)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: line 3")
+
     def test_digits_do_not_follow_the_blas_thread_count(self, tmp_path):
         # OpenBLAS would split a dot product of 20 000 values across its threads,
         # and round by its CPU kernel, both fixed when numpy loads: so each run is

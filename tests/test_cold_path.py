@@ -85,6 +85,7 @@ def test_anova_loads_numpy(tmp_path):
 @pytest.mark.parametrize("statement", [
     "import rmbayes",
     "from rmbayes import bf01_minimal_rm, parse_reports, DesignSpec",
+    "from rmbayes import f_cdf; f_cdf(1.0, 2, 3)",
 ])
 def test_package_import_leaves_numpy_unloaded(statement):
     assert fresh_python(f"import sys\n{statement}\nprint('numpy' in sys.modules)") == "False"
