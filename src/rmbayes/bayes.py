@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, as_int, real
+from .errors import DomainError, integer, real
 
 __all__ = [
     "DesignSpec",
@@ -66,11 +66,7 @@ class DesignSpec:
     k: int
 
     def __post_init__(self) -> None:
-        n, k = as_int(self.n), as_int(self.k)
-        if n is None or n < 2:
-            raise DomainError(f"need at least 2 subjects, got n={self.n!r}")
-        if k is None or k < 2:
-            raise DomainError(f"need at least 2 conditions, got k={self.k!r}")
+        n, k = integer("n", self.n, 2), integer("k", self.k, 2)
         # the largest count the formulas take as a float
         real("n*(k-1)", n * (k - 1))
         object.__setattr__(self, "n", n)
@@ -208,13 +204,8 @@ def bf01_between(f_stat: float, df1: int, df2: int, n_obs: int,
     independent observations.
     """
     f, prior = _check_f(f_stat), _check_prior(prior_h0)
-    dfs = as_int(df1), as_int(df2)
-    if None in dfs or min(dfs) < 1:
-        raise DomainError(f"degrees of freedom must be integers >= 1, got ({df1!r}, {df2!r})")
-    n = as_int(n_obs)
-    if n is None or n < 2:
-        raise DomainError(f"need at least 2 observations, got n_obs={n_obs!r}")
-    log_bf01 = _log_bf01_between(f, real("df1", dfs[0]), real("df2", dfs[1]), real("n_obs", n))
+    df1, df2, n = integer("df1", df1, 1), integer("df2", df2, 1), integer("n_obs", n_obs, 2)
+    log_bf01 = _log_bf01_between(f, real("df1", df1), real("df2", df2), real("n_obs", n))
     return EvidenceResult(Method.BETWEEN_SUBJECTS, *_evidence(log_bf01, prior))
 
 

@@ -23,15 +23,17 @@ class DesignInferenceError(DomainError):
     repeated-measures design, so (n, k) cannot be recovered from them."""
 
 
-def as_int(value) -> int | None:
-    """``value`` as a Python int when it is an integer, numpy integers
-    included; None for anything else, ``bool`` too."""
-    if isinstance(value, bool):
-        return None
+def integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int, numpy integers included; DomainError for anything
+    else (``bool`` and ``20.0`` too) and for an integer outside [low, high]."""
     try:
-        return operator.index(value)
+        result = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        return None
+        result = None
+    if result is None or result < low or (high is not None and result > high):
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    return result
 
 
 def is_real(value) -> bool:

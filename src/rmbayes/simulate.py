@@ -67,7 +67,7 @@ from . import _LAZY
 from ._parts import in_parts
 from .anova import _decompose
 from .bayes import DesignSpec, _chooses_h0, _log_bf01_minimal_rm, _log_bf01_nathoo, _posterior_h0
-from .errors import DegenerateResidualError, DomainError, as_int, real
+from .errors import DegenerateResidualError, DomainError, integer, real
 
 __all__ = list(_LAZY["simulate"])
 
@@ -110,7 +110,6 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         design = DesignSpec(self.n, self.k)
-        reps, seed = as_int(self.reps), as_int(self.master_seed)
         rho, delta = real("rho", self.rho), real("delta", self.delta)
         if not 0.0 <= rho < 1.0:
             raise DomainError(
@@ -118,10 +117,8 @@ class SimulationConfig:
             )
         if not 0.0 <= delta < math.inf:
             raise DomainError(f"effect size must be a finite nonnegative real, got {self.delta!r}")
-        if reps is None or reps < 1:
-            raise DomainError(f"need at least 1 replication, got reps={self.reps!r}")
-        if seed is None or not 0 <= seed <= _MASK64:
-            raise DomainError("master_seed must be an unsigned 64-bit integer")
+        reps = integer("reps", self.reps, 1)
+        seed = integer("master_seed", self.master_seed, 0, _MASK64)
         if self.spacing not in _SPACINGS:
             raise DomainError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         for name, value in (("n", design.n), ("k", design.k), ("reps", reps),
@@ -443,9 +440,7 @@ def generate_dataset(config: SimulationConfig, rep_index: int) -> np.ndarray:
     drawn by the same sampler on a block of one.  ``rep_index`` is an integer
     from 0 to 2**64 - 1; anything else, an overflow or an unallocatable design
     raises DomainError."""
-    index = as_int(rep_index)
-    if index is None or not 0 <= index <= _MASK64:
-        raise DomainError(f"rep_index must be an integer from 0 to 2**64 - 1, got {rep_index!r}")
+    index = integer("rep_index", rep_index, 0, _MASK64)
     (_, data), = _draw(config, index, index + 1)
     return data[0]
 
@@ -536,11 +531,9 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
     the first here and each later one in a forked child, and the substream seeding
     guarantees the report is identical to a sequential run.
     """
-    if not n_values or not rho_values or not delta_values:
+    if not all(map(len, (n_values, rho_values, delta_values))):
         raise DomainError("n_values, rho_values and delta_values must all be nonempty")
-    parts = as_int(workers)
-    if parts is None or parts < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+    parts = integer("workers", workers, 1)
     configs = [
         SimulationConfig(n=n, rho=rho, delta=delta, k=k, reps=reps,
                          master_seed=master_seed, spacing=spacing)

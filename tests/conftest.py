@@ -9,6 +9,7 @@ import errno
 import importlib.resources
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -22,19 +23,26 @@ import pytest
 
 import rmbayes
 from rmbayes.apa import ReportedStat
-from rmbayes.errors import DomainError, as_int
+from rmbayes.errors import DomainError
 from rmbayes.simulate import _MASK64, _PROFILE_STREAM_TAG, _cell_seed, _splitmix64
 
 SRC = str(Path(rmbayes.__file__).resolve().parents[1])
+
+
+def fresh_env(**changes: str | None) -> dict[str, str]:
+    """This process's environment for a new interpreter that imports this
+    package's source: SRC first on PYTHONPATH, then ``changes``, where None
+    removes a variable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])), **changes}
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def fresh_python(code: str, args=(), stdin: str = "", timeout: float | None = None) -> str:
     """The last stdout line of ``code`` run in a new interpreter that imports
     this package's source, so nothing is loaded beforehand; past ``timeout``
     seconds the interpreter is killed and TimeoutExpired raised."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=fresh_env(),
                          capture_output=True, text=True, check=True, timeout=timeout).stdout
     return out.splitlines()[-1]
 
@@ -149,7 +157,10 @@ def reference_make_profile(config) -> tuple[float, ...]:
 def reference_rep_seed(config, rep_index: int) -> int:
     """Substream seed for one replication: a splitmix64 fold of the master
     seed, the cell parameters and the replication index."""
-    index = as_int(rep_index)
+    try:
+        index = None if isinstance(rep_index, bool) else operator.index(rep_index)
+    except TypeError:
+        index = None
     if index is None or index < 0:
         raise DomainError(f"rep_index must be a nonnegative integer, got {rep_index!r}")
     return _splitmix64(_cell_seed(config) ^ (index & _MASK64))

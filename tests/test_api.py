@@ -61,7 +61,7 @@ def test_public_names_are_the_modules_all():
         [name for module in modules for name in module.__all__] + ["__version__"])
 
 
-# errors is left out: its as_int, is_real and real are public in form, not in its list
+# errors is left out: its integer, is_real and real are public in form, not in its list
 @pytest.mark.parametrize("name", ["anova", "apa", "bayes", "simulate"])
 def test_lazy_table_lists_what_the_module_defines(name):
     # a module's __all__ (for anova and simulate, the package's table) must keep up with

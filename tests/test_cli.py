@@ -32,9 +32,9 @@ from rmbayes.cli import _report_entry_json, main
 from rmbayes.errors import DomainError
 from rmbayes.simulate import CellResult, FiveNumberSummary, GridReport
 
-from conftest import (SRC, assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
-                      count_forks, decimal_log_bf01_between, fake_cpus, load_report_schema,
-                      open_fds, refuse)
+from conftest import (assert_nothing_left, assert_schema_valid, build_two_condition_matrix,
+                      count_forks, decimal_log_bf01_between, fake_cpus, fresh_env,
+                      load_report_schema, open_fds, refuse)
 
 
 @pytest.fixture()
@@ -579,9 +579,7 @@ class TestAnova:
         variants = [{}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
         if platform.machine() in ("x86_64", "AMD64"):
             variants.append({"OPENBLAS_CORETYPE": "Prescott"})
-        env = {name: value for name, value in os.environ.items()
-               if name not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env = fresh_env(OPENBLAS_NUM_THREADS=None, OPENBLAS_CORETYPE=None)
         for command, args in commands.items():
             outputs = set()
             for variant in variants:
@@ -616,9 +614,7 @@ class TestAnova:
     @staticmethod
     def cli(args, **kwargs):
         """``rmbayes args`` in a fresh interpreter, killed after 10 s."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-m", "rmbayes.cli", *args], env=env,
+        return subprocess.run([sys.executable, "-m", "rmbayes.cli", *args], env=fresh_env(),
                               capture_output=True, text=True, timeout=10, **kwargs)
 
     def assert_reads_as_the_file(self, runner, tmp_path, result):
@@ -933,9 +929,7 @@ class TestSimulate:
     def test_overflowing_cell_prints_only_the_error(self, tmp_path):
         # a fresh interpreter, whose default warning filters would print any
         # numpy RuntimeWarning to stderr
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a plain shell
+        env = fresh_env(PYTHONUNBUFFERED=None)  # a buffered stdout, as in a plain shell
         result = subprocess.run(
             [sys.executable, "-m", "rmbayes.cli", "simulate", "--n", "20", "--rho", "0.2",
              "--delta", "1e155", "--reps", "3", "--out-dir", str(tmp_path / "out")],
@@ -1059,8 +1053,7 @@ class TestSeededOutputBytes:
 
     @pytest.mark.parametrize("run", RUNS)
     def test_output_digests(self, tmp_path, run):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",  # numpy loads before the CLI sets it
-               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        env = fresh_env(OPENBLAS_NUM_THREADS="1")  # numpy loads before the CLI sets it
         result = subprocess.run(
             [sys.executable, "-m", "rmbayes.cli", "simulate", "--reps", "50", *self.RUNS[run],
              "--emit-per-rep", "--out-dir", str(tmp_path)],
@@ -1232,10 +1225,9 @@ class TestParse:
     @staticmethod
     def cli_latin1(args, stdin: bytes):
         """``rmbayes args`` in a fresh interpreter whose standard streams are latin-1."""
-        env = {**os.environ, "PYTHONIOENCODING": "latin-1", "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         return subprocess.run([sys.executable, "-m", "rmbayes.cli", *args], input=stdin,
-                              env=env, capture_output=True, timeout=60)
+                              env=fresh_env(PYTHONIOENCODING="latin-1"), capture_output=True,
+                              timeout=60)
 
     @pytest.mark.parametrize("text, options", [
         pytest.param("", (), id="no-reports"),
@@ -1508,9 +1500,7 @@ class TestErrorBoundary:
     @staticmethod
     def cli(args, **kwargs):
         """``rmbayes args`` in a fresh interpreter, with real stdout and stderr."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as in a plain shell
+        env = fresh_env(PYTHONUNBUFFERED=None)  # a buffered stdout, as in a plain shell
         return subprocess.Popen([sys.executable, "-m", "rmbayes.cli", *args], env=env,
                                 stderr=subprocess.PIPE, text=True, **kwargs)
 
@@ -1543,7 +1533,7 @@ class TestErrorBoundary:
         with pytest.raises(SystemExit) as exit_info:
             main.main(["bf", "--f", "1", "--n", "1", "--k", "3"], standalone_mode=False)
         assert exit_info.value.code == 2
-        assert capsys.readouterr().err == "error: need at least 2 subjects, got n=1\n"
+        assert capsys.readouterr().err == "error: n must be an integer >= 2, got 1\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_stdout_write_failure_in_process_exits_3_and_leaves_stdout_restored(self, capsys):
@@ -1585,11 +1575,9 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == "error: [Errno 9] stdout is closed\n"
 
     def test_closed_stdout_in_a_shell_exits_3(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             ["sh", "-c", 'exec "$0" -m rmbayes.cli bf --f 1 --n 10 --k 3 >&-', sys.executable],
-            env=env, stderr=subprocess.PIPE, text=True)
+            env=fresh_env(), stderr=subprocess.PIPE, text=True)
         assert result.returncode == 3
         assert result.stderr == "error: [Errno 9] stdout is closed\n"
 
@@ -1608,9 +1596,7 @@ class TestErrorBoundary:
                 "print('before run')\n"
                 "run()\n")
         args = [str(tmp_path / "missing.csv") if arg == "MISSING" else arg for arg in args]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)  # run() itself must flush a buffered stdout
+        env = fresh_env(PYTHONUNBUFFERED=None)  # run() itself must flush a buffered stdout
         result = subprocess.run([sys.executable, "-c", code, *args], env=env,
                                 capture_output=True, text=True)
         expected = invoke(CliRunner(), args) if status == 0 else None

@@ -239,6 +239,19 @@ class TestNamedInputs:
                                                                k=2 ** 61, reps=1), 0),
                      "cell n10_k2305843009213693952_rho0.2_delta0: its n-by-k design does not "
                      "fit in memory", id="dataset-huge-k"),
+        # a count given as a float, as df2/df1 + 1 gives n: "need at least 2 subjects" before
+        pytest.param(lambda: DesignSpec(20.0, 3), "n must be an integer >= 2, got 20.0",
+                     id="design-float-n"),
+        pytest.param(lambda: DesignSpec(np.float64(38) / 2 + 1, 3),
+                     f"n must be an integer >= 2, got {np.float64(20.0)!r}",
+                     id="design-numpy-float-n"),
+        pytest.param(lambda: SimulationConfig(n=10, rho=0.2, delta=0, reps=1000.0),
+                     "reps must be an integer >= 1, got 1000.0", id="config-float-reps"),
+        pytest.param(lambda: SimulationConfig(n=10, rho=0.2, delta=0, master_seed=-1),
+                     "master_seed must be an integer from 0 to 18446744073709551615, got -1",
+                     id="config-negative-seed"),
+        pytest.param(lambda: bf01_between(2.0, 2, 38, 41.0),
+                     "n_obs must be an integer >= 2, got 41.0", id="between-float-n_obs"),
     ])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):

@@ -4,11 +4,8 @@ import math
 import os
 import re
 import signal
-import subprocess
-import sys
 from contextlib import closing
 from dataclasses import astuple, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +38,8 @@ from rmbayes.simulate import (
     _splitmix64,
 )
 
-from conftest import (assert_nothing_left, count_forks, fake_cpus, open_fds, refuse,
-                      reference_dataset, reference_make_profile)
+from conftest import (assert_nothing_left, count_forks, fake_cpus, fresh_python, open_fds,
+                      refuse, reference_dataset, reference_make_profile)
 
 
 def config_for(n=20, rho=0.2, delta=0.0, **kwargs):
@@ -130,13 +127,7 @@ class TestSubstreams:
             "1.6451131768306846", "1.4265509481314473", "1.1644357678890496"]
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
-        src = str(Path(sim.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        loaded = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rmbayes.cli; print('numpy.random' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True).stdout.strip()
+        loaded = fresh_python("import sys, rmbayes.cli; print('numpy.random' in sys.modules)")
         assert loaded == "False"
 
     def test_seeding_mismatch_raises(self, monkeypatch):
@@ -196,9 +187,9 @@ class TestConfigValidation:
             SimulationConfig(**base)
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"n": 1}, "need at least 2 subjects, got n=1"),
-        ({"n": 1, "k": 1}, "need at least 2 subjects, got n=1"),
-        ({"k": 1}, "need at least 2 conditions, got k=1"),
+        pytest.param({"n": 1}, "n must be an integer >= 2, got 1", id="n-below-2"),
+        pytest.param({"n": 1, "k": 1}, "n must be an integer >= 2, got 1", id="n-and-k-below-2"),
+        pytest.param({"k": 1}, "k must be an integer >= 2, got 1", id="k-below-2"),
         ({"n": 10 ** 400}, "n*(k-1) = 2e+400 lies beyond the float range"),
     ])
     def test_design_checked_as_a_design_spec(self, kwargs, message):
@@ -352,7 +343,7 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("rep", [2 ** 64, 2 ** 64 + 7, np.int64(-1), True, 7.0, "7", None])
     def test_rep_index_outside_the_range_rejected(self, rep):
         with pytest.raises(DomainError, match=re.escape(
-                f"rep_index must be an integer from 0 to 2**64 - 1, got {rep!r}")):
+                f"rep_index must be an integer from 0 to 18446744073709551615, got {rep!r}")):
             generate_dataset(config_for(), rep)
 
 
@@ -486,8 +477,15 @@ class TestRunGrid:
         assert observed == expected
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(DomainError):
-            run_grid((), (0.2,), (0.0,))
+        for n_values in ((), np.array([])):
+            with pytest.raises(DomainError):
+                run_grid(n_values, (0.2,), (0.0,))
+
+    def test_array_axes_match_lists(self):
+        # a numpy array of several values has no truth value, so emptiness is read from len
+        assert run_grid(np.array([20, 30]), np.array([0.2]), np.array([0.0, 0.5]), reps=5,
+                        master_seed=1) == run_grid([20, 30], [0.2], [0.0, 0.5], reps=5,
+                                                   master_seed=1)
 
     def test_invalid_cell_parameter_rejected(self):
         with pytest.raises(DomainError):
