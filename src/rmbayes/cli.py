@@ -2,9 +2,9 @@
 CSV data, the Monte Carlo grid, and scanning text for reported F statistics.
 
 This module alone turns the library's result dataclasses into the report-v1
-JSON and the CSV files. A report object's members are its dataclass's fields
-(``minimum``/``maximum`` as ``min``/``max``; a cell leaves out ``master_seed``,
-``spacing`` and ``series``), which tests/test_cli.py ties to the schema.
+JSON and the CSV files. A report object's members are its dataclass's fields under
+their own names, by ``_members`` (a cell adds its config's ``cell_id`` and leaves out
+``master_seed``, ``spacing`` and ``series``), which tests/test_cli.py ties to the schema.
 ``simulate``'s files are each a name and its lines, written in order by one loop.
 
 Exit codes, set by ``_Main`` alone: 0 success, 2 validation failure, 3 I/O failure;
@@ -91,6 +91,13 @@ def _report_json(payload: dict) -> str:
     return json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True)
 
 
+def _members(result, *left_out: str) -> dict:
+    """The fields of the dataclass ``result``, but ``left_out``, as report-v1 members:
+    in field order, under their own names, a nested dataclass as an object."""
+    return {name: _members(value) if is_dataclass(value) else value
+            for name, value in vars(result).items() if name not in left_out}
+
+
 def _report(as_json: bool, payload: dict, lines: list[str]) -> None:
     """Echo the report-v1 document of ``payload``, or else the text ``lines``."""
     click.echo(_report_json(payload) if as_json else "\n".join(lines))
@@ -154,7 +161,7 @@ def main() -> None:
 def cmd_bf(f: float, n: int, k: int, prior_h0: float, as_json: bool) -> None:
     """Bayes factor from F, n and k alone (minimal BIC method)."""
     result = bf01_minimal_rm(f, DesignSpec(n=n, k=k), prior_h0=prior_h0)
-    _report(as_json, {"evidence": vars(result)},
+    _report(as_json, {"evidence": _members(result)},
             [f"F = {f:g}, n = {n}, k = {k}", *_render_evidence(result)])
 
 
@@ -177,7 +184,7 @@ def cmd_bf_ss(sst: float, ssa: float, ssb: float, n: int, k: int, prior_h0: floa
              *_render_evidence(result)]
     if ssa == 0:
         lines.append("note: the treatment sum of squares is 0; the treatment explains nothing")
-    _report(as_json, {"evidence": vars(result)}, lines)
+    _report(as_json, {"evidence": _members(result)}, lines)
 
 
 def _read_text(path: str) -> str:
@@ -286,9 +293,9 @@ def cmd_anova(csv_path: str, bf: bool, as_json: bool) -> None:
     for result in evidence:
         lines += ["", *_render_evidence(result)]
     _report(as_json, {
-        "design": vars(design),
-        "anova": vars(table),
-        "evidence": ({result.method.value: vars(result) for result in evidence}
+        "design": _members(design),
+        "anova": _members(table),
+        "evidence": ({result.method.value: _members(result) for result in evidence}
                      if bf else None),
     }, lines)
 
@@ -318,21 +325,11 @@ def _uint64(ctx, param, raw: str) -> int:
     return value
 
 
-_JSON_NAMES = {"minimum": "min", "maximum": "max"}  # FiveNumberSummary's, in report-v1
-
-
-def _members(result, *left_out: str) -> dict:
-    """The fields of the dataclass ``result``, but ``left_out``, as report-v1 members:
-    in field order, under their ``_JSON_NAMES`` names, a nested dataclass as an object."""
-    return {_JSON_NAMES.get(name, name): _members(value) if is_dataclass(value) else value
-            for name, value in vars(result).items() if name not in left_out}
-
-
 def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) -> list[str]:
     """Write each grid file into ``out_dir``, header first, and return the names in order. A CSV
     line has csv.writer's bytes, no cell quoted: a float by repr, an int by str, None as ""."""
     key = ["delta", "rho", "n"]
-    cells = [{"cell_id": cell.cell_id, **_members(cell.config, "master_seed", "spacing"),
+    cells = [{"cell_id": cell.config.cell_id, **_members(cell.config, "master_seed", "spacing"),
               **_members(cell, "config", "series")} for cell in report.cells]
     boxplots = [{**cell, "method": method, **cell[f"posterior_quantiles_{suffix}"]}
                 for cell in cells
@@ -351,7 +348,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
 
     # the per-replication files: one cell's lines at a time, each from the cell's template
     def scatter_lines(cell) -> str:
-        head = f"{cell.cell_id},{cell.config.delta!r},{cell.config.rho!r},{cell.config.n},"
+        head = f"{cell.config.cell_id},{cell.config.delta!r},{cell.config.rho!r},{cell.config.n},"
         return "".join(f"{head}{rep},{posterior_min!r},{posterior_nm!r}\n"
                        for rep, (posterior_min, posterior_nm) in enumerate(zip(
                            cell.series.posterior_min.tolist(), cell.series.posterior_nm.tolist())))
@@ -359,7 +356,7 @@ def _write_grid_outputs(report: GridReport, out_dir: str, emit_per_rep: bool) ->
     def per_rep_lines(cell) -> str:
         choice = {True: ModelChoice.H0.value, False: ModelChoice.H1.value}
         return "".join(
-            f"{cell.cell_id},{rep},{f_stat!r},{_saturating_exp(log_min)[0]!r},"
+            f"{cell.config.cell_id},{rep},{f_stat!r},{_saturating_exp(log_min)[0]!r},"
             f"{_saturating_exp(log_nm)[0]!r},{posterior_min!r},{posterior_nm!r},"
             f"{choice[_chooses_h0(log_min)]},{choice[_chooses_h0(log_nm)]}\n"
             for rep, (f_stat, log_min, log_nm, posterior_min, posterior_nm) in enumerate(zip(

@@ -132,17 +132,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class FiveNumberSummary:
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "FiveNumberSummary":
         """``np.percentile(values, [0, 25, 50, 75, 100])`` of NaN-free values, by
         numpy's linear rule on Python floats: np.percentile loads numpy.ma."""
         ordered = np.sort(values).tolist()
+        if not ordered:
+            raise DomainError("a five-number summary needs at least one value")
         last = len(ordered) - 1
 
         def percentile(q: float) -> float:
@@ -189,10 +191,6 @@ class CellResult:
     posterior_quantiles_min: FiveNumberSummary
     posterior_quantiles_nm: FiveNumberSummary
     series: RepSeries
-
-    @property
-    def cell_id(self) -> str:
-        return self.config.cell_id
 
 
 @dataclass(frozen=True)
@@ -548,13 +546,12 @@ def run_grid(n_values: Sequence[int], rho_values: Sequence[float],
     with closing(in_parts(lambda start, end: map(run_cell, configs[start:end]),
                           len(configs), parts)) as results:
         cells = tuple(results)
+    # the axes and settings as the cells hold them: n runs fastest, then rho, then delta
+    first, row, plane = configs[0], len(n_values), len(n_values) * len(rho_values)
     return GridReport(
-        n_values=tuple(n_values),
-        rho_values=tuple(rho_values),
-        delta_values=tuple(delta_values),
-        k=k,
-        reps=reps,
-        master_seed=master_seed,
-        spacing=spacing,
+        n_values=tuple(config.n for config in configs[:row]),
+        rho_values=tuple(config.rho for config in configs[:plane:row]),
+        delta_values=tuple(config.delta for config in configs[::plane]),
+        k=first.k, reps=first.reps, master_seed=first.master_seed, spacing=first.spacing,
         cells=cells,
     )

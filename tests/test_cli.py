@@ -848,6 +848,21 @@ class TestSimulate:
         writer.writerows(expected)
         assert (tmp_path / "scatter_data.csv").read_bytes() == rendered.getvalue().encode()
 
+    def test_numpy_arguments_give_a_plain_report_that_writes(self, tmp_path):
+        # the report holds the axes and settings as its cells do, so json writes them
+        report = run_grid(np.array([20, 30]), np.array([0.2]), np.array([0.0]),
+                          k=np.int64(3), reps=np.int64(3), master_seed=np.uint64(5))
+        assert cli._members(report, "cells") == {
+            "n_values": (20, 30), "rho_values": (0.2,), "delta_values": (0.0,), "k": 3,
+            "reps": 3, "master_seed": 5, "spacing": "uniform"}
+        assert {type(value) for value in (*report.n_values, report.k, report.reps,
+                                          report.master_seed)} == {int}
+        assert {type(value) for value in (*report.rho_values, *report.delta_values)} == {float}
+        with click.Context(cli.cmd_simulate, info_name="simulate"):
+            cli._write_grid_outputs(report, str(tmp_path), emit_per_rep=False)
+        payload = json.loads((tmp_path / "grid_report.json").read_text(encoding="utf-8"))
+        assert payload["grid"]["n_values"] == [20, 30] and payload["grid"]["master_seed"] == 5
+
     def test_grid_report_shape(self, runner, tmp_path):
         invoke(runner, ["simulate", "--n", "20", "--rho", "0.2", "--delta", "0",
                         "--reps", "2", "--seed", "3", "--emit-per-rep",
@@ -1069,6 +1084,37 @@ class TestSeededOutputBytes:
             "seeded simulate output changed. If that is meant, re-capture these digests "
             "and say so; a numpy upgrade may also change the Generator streams behind "
             "them, which NEP 19 does not keep stable across versions")
+
+
+class TestReportOutputBytes:
+    """The ``--json`` report of ``bf``, ``bf-ss``, ``anova --bf`` and ``parse`` on fixed
+    input, pinned by its SHA-256 with the timestamp masked, so that a change to how a
+    report is built keeps every byte of it."""
+
+    CSV = "a,b,c\n1,2,3.5\n2,2.5,4\n1.5,3,3.9\n0.5,1.25,2\n"
+    TEXT = ("Means differed, F(2, 38) = 3.5, p = .04; the null F(1, 22) = 1.336, p = .26; "
+            "F(2, 39) = 3.1 and F(1.46, 32.1) = 5.02 and F(2,38)<1, p > .5.\n")
+    RUNS = {
+        "bf": (["bf", "--f", "4.2", "--n", "20", "--k", "3"], None),
+        "bf-ss": (["bf-ss", "--sst", "100", "--ssa", "12", "--ssb", "40", "--n", "20",
+                   "--k", "3", "--prior-h0", "0.3"], None),
+        "anova": (["anova", "-", "--bf"], CSV),
+        "parse": (["parse", "-"], TEXT),
+    }
+    DIGESTS = {
+        "bf": "bd9a93d882984380ee3d8a4388d49b96eb30bdc76ee80527587c027be4dd5638",
+        "bf-ss": "bb49214f97c130ca35d5e504d631460e9d5b5e2fd34110d9be5c8074cc974111",
+        "anova": "ed22cb47cc5e3e9be2f5c73aa8ca203738538664f34b309a6354fc0779bc2ac1",
+        "parse": "410b126123be8dc1e52b8c001f81e4ad8d19513793f3644e9b95e57b0b014f54",
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_output_digest(self, runner, run):
+        args, stdin = self.RUNS[run]
+        result = invoke(runner, [*args, "--json"], input=stdin)
+        assert result.exit_code == 0
+        data = without_timestamp(result.stdout).encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[run]
 
 
 class TestParse:
@@ -1314,8 +1360,7 @@ class TestSchemaKeys:
                                       "cell", "grid_report.grid", "parsed_report_entry"])
     def test_schema_objects_track_the_dataclasses(self, path):
         def members(cls, *left_out):
-            return {cli._JSON_NAMES.get(field.name, field.name) for field in fields(cls)
-                    if field.name not in left_out}
+            return {field.name for field in fields(cls) if field.name not in left_out}
 
         expected = {
             "evidence": members(EvidenceResult),

@@ -171,6 +171,10 @@ class TestFiveNumberSummary:
         expected = np.percentile(values, [0, 25, 50, 75, 100]).tolist()
         assert list(astuple(FiveNumberSummary.from_values(values))) == expected
 
+    def test_no_values_rejected(self):
+        with pytest.raises(DomainError, match="^a five-number summary needs at least one value$"):
+            FiveNumberSummary.from_values(np.array([]))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -352,7 +356,7 @@ class TestRunCell:
         result = run_cell(config_for(reps=1))
         assert result.posterior_correlation is None
         q = result.posterior_quantiles_min
-        assert q.minimum == q.q1 == q.median == q.q3 == q.maximum
+        assert q.min == q.q1 == q.median == q.q3 == q.max
 
     def test_tiny_posteriors_still_correlate(self):
         # posteriors of 1e-176 to 1e-165 vary, but their deviations square to 0 unscaled
